@@ -3,13 +3,12 @@
  * Corpus-cache microbench: the perf trajectory of record-once /
  * replay-many.
  *
- * Runs one fleet sweep three ways — per-job synthesis (the historical
- * baseline), shared TraceCache (synthesize once per (device, app,
- * user)), and corpus replay off disk — asserts all three produce
- * byte-identical reports, and emits BENCH_corpus.json with the wall
- * times and speedups. The JSON carries timings, so unlike the figure
- * benches its bytes vary run to run; the report bytes it validates do
- * not.
+ * Runs one fleet sweep two ways — live synthesis through the runner's
+ * trace cache (synthesize once per (device, app, user)) and corpus
+ * replay off disk — asserts both produce byte-identical reports, and
+ * emits BENCH_corpus.json with the wall times and the replay speedup.
+ * The JSON carries timings, so unlike the figure benches its bytes vary
+ * run to run; the report bytes it validates do not.
  */
 
 #include <chrono>
@@ -82,17 +81,11 @@ main()
               << base.threads << " threads), best of " << kRepetitions
               << "\n\n";
 
-    // ---- Mode 1: per-job synthesis (historical baseline). ----
-    FleetConfig per_job = base;
-    per_job.shareTraces = false;
-    std::string per_job_bytes;
-    const double per_job_ms = timeSweep(per_job, per_job_bytes);
-
-    // ---- Mode 2: shared in-process TraceCache. ----
+    // ---- Mode 1: live synthesis through the trace cache. ----
     std::string cached_bytes;
     const double cached_ms = timeSweep(base, cached_bytes);
 
-    // ---- Mode 3: corpus replay off disk. ----
+    // ---- Mode 2: corpus replay off disk. ----
     const std::filesystem::path dir =
         std::filesystem::temp_directory_path() / "pes_bench_corpus";
     std::filesystem::remove_all(dir);
@@ -122,39 +115,30 @@ main()
     const double replay_ms = timeSweep(replay, replay_bytes);
     std::filesystem::remove_all(dir);
 
-    fatal_if(cached_bytes != per_job_bytes,
-             "cached sweep diverged from per-job synthesis");
-    fatal_if(replay_bytes != per_job_bytes,
-             "corpus replay diverged from per-job synthesis");
+    fatal_if(replay_bytes != cached_bytes,
+             "corpus replay diverged from live synthesis");
 
     Table table({"mode", "wall(ms)", "speedup"});
     table.beginRow()
-        .cell(std::string("synthesize per job"))
-        .cell(per_job_ms, 1)
-        .cell(1.0, 2);
-    table.beginRow()
-        .cell(std::string("shared trace cache"))
+        .cell(std::string("live synthesis, cached"))
         .cell(cached_ms, 1)
-        .cell(per_job_ms / cached_ms, 2);
+        .cell(1.0, 2);
     table.beginRow()
         .cell(std::string("corpus replay"))
         .cell(replay_ms, 1)
-        .cell(per_job_ms / replay_ms, 2);
+        .cell(cached_ms / replay_ms, 2);
     table.print(std::cout);
-    std::cout << "\nreports byte-identical across all three modes\n";
+    std::cout << "\nreports byte-identical across both modes\n";
 
     std::ofstream os("BENCH_corpus.json");
     fatal_if(!os, "cannot write BENCH_corpus.json");
     os << "{\n"
        << "  \"sessions\": " << base.jobCount() << ",\n"
        << "  \"repetitions\": " << kRepetitions << ",\n"
-       << "  \"synthesize_per_job_ms\": " << jsonNum(per_job_ms) << ",\n"
        << "  \"cached_ms\": " << jsonNum(cached_ms) << ",\n"
        << "  \"corpus_replay_ms\": " << jsonNum(replay_ms) << ",\n"
-       << "  \"speedup_cached\": " << jsonNum(per_job_ms / cached_ms)
-       << ",\n"
        << "  \"speedup_corpus_replay\": "
-       << jsonNum(per_job_ms / replay_ms) << ",\n"
+       << jsonNum(cached_ms / replay_ms) << ",\n"
        << "  \"reports_identical\": true\n"
        << "}\n";
     std::cout << "[json: BENCH_corpus.json]\n";

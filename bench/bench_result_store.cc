@@ -121,8 +121,7 @@ main()
     const double sharded_ms = wallMs([&] {
         for (int k = 0; k < 2; ++k) {
             FleetConfig config = base;
-            config.shardIndex = k;
-            config.shardCount = 2;
+            selectShard(config, k, 2);
             auto shard = ResultStore::create(
                 (dir / ("s" + std::to_string(k))).string(),
                 SweepSpec::fromConfig(config), &error);

@@ -80,7 +80,7 @@ manifestText(const std::vector<CorpusEntry> &entries)
 
 /**
  * The single source of the header-vs-manifest-row checks (and their
- * diagnostics) shared by load(), verifyHeader() and validate(): a
+ * diagnostics) shared by load() and validate(): a
  * mismatch one path detects must be the mismatch every path detects.
  */
 std::optional<CorpusProblem>
@@ -434,22 +434,6 @@ CorpusStore::load(const CorpusEntry &entry, std::string *error) const
         return std::nullopt;
     }
     return trace;
-}
-
-bool
-CorpusStore::verifyHeader(const CorpusEntry &entry,
-                          std::string *error) const
-{
-    TraceReader reader;
-    if (!reader.open(pathOf(entry))) {
-        setError(error, entry.file + ": " + reader.error());
-        return false;
-    }
-    if (const auto problem = headerProblem(reader.header(), entry)) {
-        setError(error, problem->message);
-        return false;
-    }
-    return true;
 }
 
 bool

@@ -143,14 +143,6 @@ class CorpusStore
                                          std::string *error) const;
 
     /**
-     * Cheap integrity check of one entry: the file must open and its
-     * header must match the manifest row — the events payload is never
-     * decoded or checksummed. What capped-cache corpus replay uses to
-     * fail early on every planned trace without thrashing the cache.
-     */
-    bool verifyHeader(const CorpusEntry &entry, std::string *error) const;
-
-    /**
      * Streaming iteration in canonical order: @p fn gets each entry with
      * its freshly-loaded trace; return false from @p fn to stop early.
      * Returns false (with @p error) on the first unreadable entry.

@@ -31,6 +31,10 @@ class PowerModel
     /** Build the table analytically from the platform's V/f curves. */
     explicit PowerModel(const AcmpPlatform &platform);
 
+    /** The model keeps a pointer to @p platform; a temporary would
+     *  dangle by the first lookup. */
+    explicit PowerModel(AcmpPlatform &&) = delete;
+
     /**
      * Power while the web runtime executes on @p cfg: dynamic switching
      * power plus cluster leakage at the operating voltage.
@@ -67,6 +71,8 @@ class PowerModel
      */
     static std::optional<PowerModel>
     loadFromFile(const std::string &path, const AcmpPlatform &platform);
+    static std::optional<PowerModel>
+    loadFromFile(const std::string &path, AcmpPlatform &&) = delete;
 
   private:
     PowerModel() = default;

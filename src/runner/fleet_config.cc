@@ -1,5 +1,6 @@
 #include "runner/fleet_config.hh"
 
+#include <algorithm>
 #include <climits>
 
 #include "population/population_spec.hh"
@@ -90,6 +91,34 @@ enumerateJobs(const FleetConfig &config)
         }
     }
     return jobs;
+}
+
+void
+selectShard(FleetConfig &config, int index, int count)
+{
+    fatal_if(count < 1 || index < 0 || index >= count,
+             "fleet: shard %d/%d needs 0 <= K < N", index, count);
+    // The shard unit mirrors the execution unit: whole cells when
+    // drivers are warm (their session order must not split), single
+    // jobs otherwise; unit ordinals deal round-robin across shards.
+    const int unit =
+        config.warmDrivers ? std::max(1, config.effectiveUsers()) : 1;
+    const int total = config.jobCount();
+    std::vector<JobRange> ranges;
+    for (long long first = static_cast<long long>(index) * unit;
+         first < total; first += static_cast<long long>(count) * unit) {
+        if (!ranges.empty() &&
+            ranges.back().first + ranges.back().count == first)
+            ranges.back().count += unit;
+        else
+            ranges.push_back(JobRange{static_cast<int>(first), unit});
+    }
+    // More shards than units leaves this one empty: an empty range
+    // plans no job (no ranges at all would mean the whole sweep).
+    if (ranges.empty())
+        ranges.push_back(JobRange{0, 0});
+    config.externalRanges = std::move(ranges);
+    config.persistLabel = "s" + std::to_string(index);
 }
 
 std::vector<SchedulerKind>

@@ -119,16 +119,6 @@ struct FleetConfig
     /** Also retain every full SimResult (ResultSet) next to the
      *  aggregated metrics. Costs memory on big fleets. */
     bool collectResults = false;
-    /**
-     * Reuse one RuntimeSimulator engine per (worker, device, app) slot
-     * across sessions — the engine resets (keeping its allocations:
-     * session DOM copies, meter segments, event records) instead of
-     * being rebuilt per job, and pooled scheduler drivers reset between
-     * ranges instead of being re-constructed. Reports are byte-identical
-     * either way (locked by tests); off is the historical
-     * construct-per-job behaviour, kept as the comparison baseline.
-     */
-    bool reuseEngines = true;
     /** Training sessions per seen app for the PES event model. */
     int trainingTracesPerApp = 9;
     /**
@@ -141,31 +131,12 @@ struct FleetConfig
     /** Platform name the pretrained model was trained on. */
     std::string pretrainedModelDevice;
     /**
-     * Share each (device, app, user) trace across the scheduler axis
-     * through an in-process TraceCache (synthesize once, replay many).
-     * Results are bit-identical either way — synthesis is deterministic
-     * — so this is purely a wall-clock/memory trade. Off means every
-     * job re-synthesizes its trace (the historical behaviour; benches
-     * use it as the comparison baseline).
-     *
-     * Sharing keeps every distinct trace resident for the whole run,
-     * so the runner only auto-enables it when it pays (more than one
-     * scheduler replays each trace) AND the distinct-trace count is at
-     * most maxSharedTraces — giant fresh fleets fall back to bounded
-     * per-job synthesis instead of accumulating millions of traces.
-     * Warm, corpus, and external-cache runs always share.
-     */
-    bool shareTraces = true;
-    /**
-     * Auto-sharing bound: the largest devices x apps x users resident
-     * set shareTraces may cache (0 = unlimited). ~32k traces is a few
-     * hundred MB at typical session sizes.
-     */
-    long long maxSharedTraces = 32768;
-    /**
      * Optional external trace cache (borrowed, not owned): lets several
-     * runs share one warm cache. When null and sharing is on, the
-     * runner builds a private cache per run() call.
+     * runs share one warm cache, under whatever capacity the caller
+     * set. When null, the runner builds a private LRU cache per run()
+     * call and sizes it from the sweep shape (traceCacheCapacity() in
+     * fleet_runner.hh): every session's trace comes through a cache
+     * either way.
      */
     TraceCache *traceCache = nullptr;
     /**
@@ -173,44 +144,21 @@ struct FleetConfig
      * from disk instead of being synthesized. Every (device, app, user
      * seed) of the cross-product must exist in the corpus — missing
      * entries are a fatal configuration error, reported before any job
-     * runs. Implies trace sharing.
+     * runs.
      */
     const CorpusStore *corpus = nullptr;
     /**
-     * Hard LRU bound on the trace cache the runner owns: at most this
-     * many resident traces (0 = unbounded). Unlike maxSharedTraces —
-     * which switches auto-sharing off entirely past the bound — a cap
-     * keeps sharing on and evicts least-recently-replayed traces, so
-     * giant fresh fleets get bounded memory AND cache hits. Eviction
-     * never changes report bytes: an evicted trace re-materializes
-     * deterministically on the next miss. Ignored for caller-provided
-     * caches (the caller owns their policy).
-     */
-    size_t traceCacheCap = 0;
-    /**
-     * Shard selector: execute only the jobs of shard shardIndex out of
-     * shardCount (0-based; 1 = the whole sweep). Fresh fleets shard per
-     * job, warm fleets per (device, app, scheduler) cell so a warmed
-     * driver's session order never splits. Launch the same config with
-     * --shard k/N on N machines, each writing its own result store,
-     * then `pes_fleet merge` — the merged reports are byte-identical to
-     * a single whole run.
-     */
-    int shardIndex = 0;
-    int shardCount = 1;
-    /**
-     * External job ranges (coordinator leases): when non-empty the
-     * planner executes exactly these canonical-order ranges instead of
-     * consulting the shard selector — the range boundary comes from a
-     * lease handed out at runtime, not from a static k-of-N split.
-     * Requires the default 1-of-1 shard and no resume; warm-driver
-     * sweeps additionally require cell-aligned ranges so a warmed
-     * driver's session order never splits.
+     * The job ranges this run executes, in canonical order (empty = the
+     * whole sweep; a lone zero-count range = no job). Coordinator workers fill them from a lease handed
+     * out at runtime; static k-of-N sharding fills them through
+     * selectShard(). Warm-driver sweeps require cell-aligned ranges so
+     * a warmed driver's session order never splits. Combines with
+     * resume: the resume filter applies inside the ranges.
      */
     std::vector<JobRange> externalRanges;
     /**
-     * Part-label override for persisted checkpoints (empty = the
-     * default "s<shardIndex>"). Coordinator workers label parts with
+     * Part-label override for persisted checkpoints (empty = "s0").
+     * selectShard() sets "s<K>"; coordinator workers label parts with
      * their worker id and lease epoch, so concurrent writers into one
      * store never contend for a label's sequence numbers.
      */
@@ -313,6 +261,19 @@ struct FleetConfig
  * Trace seed of user @p user_index under @p config (see SeedMode).
  */
 uint64_t fleetUserSeed(const FleetConfig &config, int user_index);
+
+/**
+ * Static k-of-N sharding as CLI sugar over FleetConfig::externalRanges:
+ * sets @p config's ranges to the execution units (whole cells when
+ * drivers are warm, single jobs otherwise) whose ordinal is congruent
+ * to @p index modulo @p count, merged where contiguous, and labels its
+ * checkpoint parts "s<index>". The N shards cover the sweep exactly
+ * once; run each (any machine, any thread count) into its own store
+ * and `pes_fleet merge` them to the whole run's bytes. Call after the
+ * sweep axes are final. fatal() on a bad selector; a shard beyond the
+ * sweep's unit count is empty and plans no job.
+ */
+void selectShard(FleetConfig &config, int index, int count);
 
 /**
  * Enumerate the full cross-product in canonical order: device, then app,

@@ -37,6 +37,33 @@ namespace {
 /** Salt for deriving per-session speculation-noise seeds (fleet mode). */
 constexpr uint64_t kSpecNoiseSalt = 0x5eedu;
 
+/**
+ * Upper bound on planned ranges per pool task. Tasks run FIFO over
+ * contiguous chunks, so the jobs in flight at once span about
+ * threads x chunk ranges: the streaming reducer's out-of-order window
+ * and the trace cache's reuse window both scale with it.
+ */
+constexpr size_t kMaxRangesPerTask = 512;
+
+/** Most traces a run-owned cache may keep resident (a few hundred MB
+ *  at typical session sizes). */
+constexpr size_t kMaxResidentTraces = 32768;
+
+/**
+ * Planned ranges per pool task: about four tasks per worker, so fresh
+ * fleets (one singleton range per session) pay a queue round-trip per
+ * chunk instead of per session.
+ */
+size_t
+rangesPerTask(size_t ranges, int threads)
+{
+    const size_t target_tasks = static_cast<size_t>(threads) * 4;
+    return std::min(kMaxRangesPerTask,
+                    ranges > target_tasks
+                        ? (ranges + target_tasks - 1) / target_tasks
+                        : 1);
+}
+
 /** Milliseconds elapsed since @p t0 (steady clock). */
 double
 msSince(std::chrono::steady_clock::time_point t0)
@@ -230,36 +257,22 @@ FleetRunner::FleetRunner(FleetConfig config) : config_(std::move(config))
         config_.devices.push_back(AcmpPlatform::exynos5410());
     if (config_.threads < 1)
         config_.threads = 1;
-    fatal_if(config_.shardCount < 1, "fleet: shard count must be >= 1");
-    fatal_if(config_.shardIndex < 0 ||
-                 config_.shardIndex >= config_.shardCount,
-             "fleet: shard index %d outside [0, %d)", config_.shardIndex,
-             config_.shardCount);
     fatal_if(config_.resume && !config_.resultStore,
              "fleet: resume requires a result store");
     jobs_ = enumerateJobs(config_);
-    if (!config_.externalRanges.empty()) {
-        // Leased execution replaces the static shard selector; mixing
-        // the two (or resume) would double-apply a job filter.
-        fatal_if(config_.shardCount != 1,
-                 "fleet: external ranges exclude --shard");
-        fatal_if(config_.resume,
-                 "fleet: external ranges exclude --resume (the "
-                 "coordinator tracks completion per lease)");
-        const int total = static_cast<int>(jobs_.size());
-        const int users_per_cell = config_.effectiveUsers();
-        for (const JobRange &range : config_.externalRanges) {
-            fatal_if(range.count <= 0 || range.first < 0 ||
-                         range.first + range.count > total,
-                     "fleet: external range [%d, +%d) outside the "
-                     "%d-job sweep", range.first, range.count, total);
-            fatal_if(config_.warmDrivers &&
-                         (range.first % users_per_cell != 0 ||
-                          range.count % users_per_cell != 0),
-                     "fleet: warm sweeps need cell-aligned external "
-                     "ranges (%d users per cell), got [%d, +%d)",
-                     users_per_cell, range.first, range.count);
-        }
+    const int total = static_cast<int>(jobs_.size());
+    const int users_per_cell = config_.effectiveUsers();
+    for (const JobRange &range : config_.externalRanges) {
+        fatal_if(range.count < 0 || range.first < 0 ||
+                     range.first + range.count > total,
+                 "fleet: external range [%d, +%d) outside the "
+                 "%d-job sweep", range.first, range.count, total);
+        fatal_if(config_.warmDrivers &&
+                     (range.first % users_per_cell != 0 ||
+                      range.count % users_per_cell != 0),
+                 "fleet: warm sweeps need cell-aligned external "
+                 "ranges (%d users per cell), got [%d, +%d)",
+                 users_per_cell, range.first, range.count);
     }
 }
 
@@ -268,46 +281,17 @@ FleetRunner::FleetRunner(FleetConfig config) : config_(std::move(config))
 FleetPlan
 FleetRunner::plan() const
 {
-    // Leased execution: the plan IS the externally supplied ranges
-    // (validated in the constructor), decomposed into the same
-    // execution units as a whole run — whole cells when drivers are
-    // warm, singletons otherwise — because runRange binds one driver
-    // and one cell to each planned range. Everything outside the
-    // leases counts as shard-skipped: other workers' leases cover it.
-    if (!config_.externalRanges.empty()) {
-        FleetPlan plan;
-        plan.totalJobs = static_cast<int>(jobs_.size());
-        const int cell = config_.effectiveUsers();
-        for (const JobRange &range : config_.externalRanges) {
-            if (config_.warmDrivers) {
-                for (int first = range.first;
-                     first < range.first + range.count; first += cell)
-                    plan.ranges.push_back(JobRange{first, cell});
-            } else {
-                for (int i = 0; i < range.count; ++i)
-                    plan.ranges.push_back(
-                        JobRange{range.first + i, 1});
-            }
-            plan.plannedJobs += range.count;
-        }
-        plan.shardSkipped = plan.totalJobs - plan.plannedJobs;
-        return plan;
-    }
-
-    // The shard unit mirrors the execution unit: whole cells when
-    // drivers are warm (their cross-session state must replay in
-    // order), single jobs otherwise.
-    const int users_per_cell = config_.effectiveUsers();
-    std::vector<JobRange> units;
-    if (config_.warmDrivers) {
-        for (int first = 0; first < static_cast<int>(jobs_.size());
-             first += users_per_cell)
-            units.push_back(JobRange{first, users_per_cell});
-    } else {
-        units.reserve(jobs_.size());
-        for (int i = 0; i < static_cast<int>(jobs_.size()); ++i)
-            units.push_back(JobRange{i, 1});
-    }
+    FleetPlan plan;
+    plan.totalJobs = static_cast<int>(jobs_.size());
+    // The ranges this run covers (the whole sweep unless leases or a
+    // static shard narrowed it), cut into execution units: whole cells
+    // when drivers are warm (their cross-session state must replay in
+    // order), single jobs otherwise — runRange binds one driver and
+    // one cell to each planned range.
+    const std::vector<JobRange> whole{JobRange{0, plan.totalJobs}};
+    const std::vector<JobRange> &covered =
+        config_.externalRanges.empty() ? whole : config_.externalRanges;
+    const int unit = config_.warmDrivers ? config_.effectiveUsers() : 1;
 
     // Resume: collect the store's completed sessions once, as compact
     // (cell ordinal, user index) pairs.
@@ -336,33 +320,58 @@ FleetRunner::plan() const
                            static_cast<uint32_t>(job.userIndex)}) > 0;
     };
 
-    FleetPlan plan;
-    plan.totalJobs = static_cast<int>(jobs_.size());
-    for (size_t unit = 0; unit < units.size(); ++unit) {
-        const JobRange &range = units[unit];
-        if (static_cast<int>(unit % static_cast<size_t>(
-                config_.shardCount)) != config_.shardIndex) {
-            plan.shardSkipped += range.count;
-            continue;
-        }
-        if (config_.resume) {
-            // Warm cells resume all-or-nothing: re-running a partial
-            // cell from its first session reproduces the driver's
-            // cross-session state exactly; the duplicate records
-            // deduplicate at reduction.
-            bool all_done = true;
-            for (int i = 0; i < range.count; ++i)
-                all_done &= jobDone(
-                    jobs_[static_cast<size_t>(range.first + i)]);
-            if (all_done) {
-                plan.resumeSkipped += range.count;
-                continue;
+    for (const JobRange &range : covered) {
+        for (int first = range.first; first < range.first + range.count;
+             first += unit) {
+            if (config_.resume) {
+                // Warm cells resume all-or-nothing: re-running a
+                // partial cell from its first session reproduces the
+                // driver's cross-session state exactly; the duplicate
+                // records deduplicate at reduction.
+                bool all_done = true;
+                for (int i = first; i < first + unit; ++i)
+                    all_done &= jobDone(jobs_[static_cast<size_t>(i)]);
+                if (all_done) {
+                    plan.resumeSkipped += unit;
+                    continue;
+                }
             }
+            plan.ranges.push_back(JobRange{first, unit});
+            plan.plannedJobs += unit;
         }
-        plan.ranges.push_back(range);
-        plan.plannedJobs += range.count;
     }
+    plan.shardSkipped =
+        plan.totalJobs - plan.plannedJobs - plan.resumeSkipped;
     return plan;
+}
+
+size_t
+traceCacheCapacity(const FleetConfig &config, const FleetPlan &plan)
+{
+    const size_t threads = static_cast<size_t>(std::max(1, config.threads));
+    const size_t users = static_cast<size_t>(config.effectiveUsers());
+    const size_t distinct =
+        std::max<size_t>(1, config.devices.size()) * config.apps.size() *
+        users;
+    const bool fits = distinct <= kMaxResidentTraces;
+    // A lone scheduler replays each trace once, so only a corpus
+    // preload (which decodes every recording before the run) gains
+    // from keeping it; otherwise hold the traces in flight.
+    if (config.schedulers.size() < 2 && !(config.corpus && fits))
+        return threads;
+    // Workers drift apart by as long as one of them stalls, so only all
+    // of a sweep's distinct traces keep every hit at any thread count.
+    if (fits)
+        return distinct;
+    // Past the ceiling: in canonical order a trace's replays sit one
+    // cell's users apart (exact for one worker), plus what the other
+    // workers hold in flight meanwhile — a warm cell each, or a task's
+    // chunk of fresh jobs.
+    const size_t per_worker = config.warmDrivers
+        ? users
+        : rangesPerTask(plan.ranges.size(), static_cast<int>(threads));
+    const size_t window = users + (threads - 1) * per_worker;
+    return window > kMaxResidentTraces ? threads : window;
 }
 
 // ------------------------------------------------------- stages 2 to 4
@@ -532,8 +541,8 @@ FleetRunner::run()
     for (auto &slots : generators)
         slots.resize(devices.size());
 
-    // Reusable per-(worker, device, app) simulator engines and pooled
-    // per-(worker, scheduler, device) drivers: a session resets the slot
+    // Per-worker simulator engines, one per (device, app), and pooled
+    // drivers, one per (scheduler, device): a session resets its slot
     // instead of rebuilding it, keeping the engine's allocations (DOM
     // copies, meter segments, record vectors) warm across jobs. Slots
     // are worker-private, so no locking and no cross-worker sharing.
@@ -542,64 +551,50 @@ FleetRunner::run()
         static_cast<size_t>(config_.threads));
     std::vector<std::vector<std::unique_ptr<SchedulerDriver>>> driver_pool(
         static_cast<size_t>(config_.threads));
-    if (config_.reuseEngines) {
-        for (auto &slots : engines)
-            slots.resize(devices.size() * num_apps);
-        for (auto &slots : driver_pool)
-            slots.resize(config_.schedulers.size() * devices.size());
-    }
+    for (auto &slots : engines)
+        slots.resize(devices.size() * num_apps);
+    for (auto &slots : driver_pool)
+        slots.resize(config_.schedulers.size() * devices.size());
 
-    // Shared trace storage: each (device, app, user) trace materializes
-    // once — synthesized on first use, or loaded from the corpus — and
-    // replays read-only across the scheduler axis. Warm sweeps, corpus
-    // replay, and caller-provided caches always share; the automatic
-    // case additionally requires the cache to pay (a lone scheduler
-    // never reuses a trace) and the resident set to stay bounded —
-    // either under the auto-share ceiling, or under an explicit LRU cap
-    // (traceCacheCap), which keeps sharing on for giant fleets while
-    // evicting least-recently-replayed traces.
-    const long long distinct_traces =
-        static_cast<long long>(devices.size()) *
-        static_cast<long long>(config_.apps.size()) *
-        config_.effectiveUsers();
-    const bool auto_share = config_.shareTraces &&
-        config_.schedulers.size() > 1 &&
-        (config_.traceCacheCap > 0 || config_.maxSharedTraces <= 0 ||
-         distinct_traces <= config_.maxSharedTraces);
-    const bool share_traces = auto_share || config_.warmDrivers ||
-        config_.corpus != nullptr || config_.traceCache != nullptr;
+    // Trace storage: every session's trace comes through one LRU cache
+    // keyed on (device, app, user). A miss materializes it — corpus
+    // load or synthesis — and the scheduler axis replays it read-only.
+    // A run-owned cache takes its capacity from the sweep shape (see
+    // traceCacheCapacity); a caller-provided one keeps its own policy.
+    const size_t cache_capacity = traceCacheCapacity(config_, outcome.plan);
     std::unique_ptr<TraceCache> owned_cache;
-    TraceCache *cache = nullptr;
-    if (share_traces) {
-        cache = config_.traceCache;
-        if (!cache) {
-            owned_cache = std::make_unique<TraceCache>();
-            owned_cache->setCapacity(config_.traceCacheCap, 0);
-            if (tsink) {
-                // Only the run-owned cache: a caller-provided cache
-                // outlives this run and keeps its own hook policy.
-                owned_cache->setEvictionHook([tsink, store_lane] {
-                    tsink->instant(store_lane, "cache evict", "cache");
-                });
-            }
-            cache = owned_cache.get();
+    TraceCache *cache = config_.traceCache;
+    if (!cache) {
+        owned_cache = std::make_unique<TraceCache>();
+        owned_cache->setCapacity(cache_capacity, 0);
+        if (tsink) {
+            // Only the run-owned cache: a caller-provided cache
+            // outlives this run and keeps its own hook policy.
+            owned_cache->setEvictionHook([tsink, store_lane] {
+                tsink->instant(store_lane, "cache evict", "cache");
+            });
         }
+        cache = owned_cache.get();
     }
 
-    // ---- Corpus preload: replay-from-disk fleets resolve every
-    // planned trace up front so a missing or corrupt recording fails
-    // before any session runs, with a per-entry diagnostic. With an
-    // LRU-capped cache, loading everything would only evict it again —
-    // so the capped path verifies each recording's header once (no
-    // event decode) and lets sessions load on demand. ----
+    // ---- Corpus preload: replay-from-disk fleets resolve and decode
+    // every planned trace up front, so a missing or corrupt recording
+    // fails before any session runs, with a per-entry diagnostic. The
+    // decoded trace stays resident when the sweep's traces all fit the
+    // run-owned cache; otherwise keeping it would only evict it again,
+    // so sessions reload it on demand. ----
     uint64_t traces_from_corpus = 0;
     if (config_.corpus) {
-        // A scenario transform also demotes the preload to header
-        // verification: inserting the raw recording would poison the
-        // cache with untransformed traces, so sessions load+derive on
-        // demand through the cache's deterministic loader instead.
-        const bool capped = (owned_cache && config_.traceCacheCap > 0) ||
-            static_cast<bool>(config_.traceTransform);
+        const size_t distinct_traces =
+            devices.size() * num_apps *
+            static_cast<size_t>(config_.effectiveUsers());
+        // A scenario transform never keeps the preload either: the raw
+        // recording would poison the cache with untransformed traces,
+        // so sessions load+derive on demand through the cache's
+        // deterministic loader instead.
+        const bool keep =
+            !(owned_cache && cache_capacity < distinct_traces) &&
+            !config_.traceTransform;
         std::set<std::tuple<std::string, std::string, uint64_t>> checked;
         for (const JobRange &range : outcome.plan.ranges) {
             for (int i = 0; i < range.count; ++i) {
@@ -622,26 +617,19 @@ FleetRunner::run()
                          config_.corpus->dir().c_str(),
                          profile.name.c_str(), device_name.c_str(),
                          static_cast<unsigned long long>(job.userSeed));
-                std::string error;
-                if (capped) {
-                    if (!checked
-                             .insert({device_name, profile.name,
-                                      job.userSeed})
-                             .second)
-                        continue;  // scheduler axis revisits the key
-                    fatal_if(!config_.corpus->verifyHeader(*entry,
-                                                           &error),
-                             "corpus '%s': %s",
-                             config_.corpus->dir().c_str(),
-                             error.c_str());
-                    continue;
-                }
-                if (cache->lookup(device_name, profile.name,
-                                  job.userSeed))
+                if (!checked
+                         .insert({device_name, profile.name, job.userSeed})
+                         .second)
+                    continue;  // scheduler axis revisits the key
+                if (keep &&
+                    cache->lookup(device_name, profile.name, job.userSeed))
                     continue;  // already resident
+                std::string error;
                 auto trace = config_.corpus->load(*entry, &error);
                 fatal_if(!trace, "corpus '%s': %s",
                          config_.corpus->dir().c_str(), error.c_str());
+                if (!keep)
+                    continue;  // verified; sessions reload on demand
                 cache->insert(device_name, std::move(*trace));
                 ++traces_from_corpus;
             }
@@ -653,21 +641,17 @@ FleetRunner::run()
     if (store) {
         sink.store = store;
         sink.label = config_.persistLabel.empty()
-            ? "s" + std::to_string(config_.shardIndex)
+            ? "s0"
             : config_.persistLabel;
-        sink.params = {
-            {"writer", "fleet_runner"},
-            {"shard", std::to_string(config_.shardIndex) + "/" +
-                          std::to_string(config_.shardCount)},
-        };
+        sink.params = {{"writer", "fleet_runner"}};
         sink.checkpointEvery = config_.checkpointEvery;
         sink.traceSink = tsink;
         sink.instantLane = store_lane;
     }
 
-    // On-demand corpus loads by workers (capped-cache misses/reloads);
-    // folded into tracesFromCorpus so replay traffic is visible even
-    // when the preload stage only verified headers.
+    // On-demand corpus loads by workers (preloads not kept resident,
+    // and post-eviction reloads); folded into tracesFromCorpus so
+    // replay traffic is visible even when the preload kept nothing.
     std::atomic<uint64_t> corpus_loads{0};
 
     // Per-worker telemetry shards, created up front in worker-index
@@ -711,78 +695,62 @@ FleetRunner::run()
                   : std::string(),
             "job");
 
-        // Population traits are a pure function of the job's user seed,
-        // so cache refills on any worker re-derive the same cohort and
-        // multipliers (the trace-cache key stays (device, app, seed)).
-        std::optional<UserTraits> traits;
-        if (config_.population) {
-            traits = samplePopulationTraits(*config_.population,
-                                            job.userSeed);
-        }
-        const UserParams *trait_scale =
-            traits ? &traits->scale : nullptr;
-
-        InteractionTrace fresh;
-        TraceHandle handle;  // keeps an evicted trace alive while used
-        const InteractionTrace *trace = nullptr;
-        if (cache) {
-            // Misses materialize deterministically: from the corpus
-            // when replaying (an evicted preload must reload the
-            // recording, never re-synthesize), live synthesis otherwise.
-            handle = cache->getOrLoad(
-                device.platform.name(), profile.name, job.userSeed,
-                [&]() -> InteractionTrace {
-                    InteractionTrace materialized;
-                    if (config_.corpus) {
-                        // Throw (not fatal): this runs on a worker, and
-                        // the pool turns the exception into a run-level
-                        // diagnostic while other workers keep going and
-                        // the final checkpoint still flushes.
-                        const CorpusEntry *entry = config_.corpus->find(
-                            profile.name, device.platform.name(),
-                            job.userSeed);
-                        std::string error;
-                        auto loaded = entry
-                            ? config_.corpus->load(*entry, &error)
-                            : std::nullopt;
-                        if (!loaded) {
-                            throw std::runtime_error(
-                                "corpus '" + config_.corpus->dir() +
-                                "': " +
-                                (entry ? error
-                                       : "preloaded entry disappeared"));
-                        }
-                        corpus_loads.fetch_add(1);
-                        materialized = std::move(*loaded);
-                    } else {
-                        materialized = gen_slot->generate(
-                            profile, job.userSeed, trait_scale);
-                        // Cohort stress stacks on synthesis only —
-                        // corpus recordings already captured their
-                        // population's behaviour at record time.
-                        if (traits) {
-                            materialized = applyCohortScenario(
-                                *traits, materialized, job.userSeed);
-                        }
+        // Misses materialize deterministically: from the corpus when
+        // replaying (an evicted preload must reload the recording, never
+        // re-synthesize), live synthesis otherwise. The handle keeps an
+        // evicted trace alive while this session replays it.
+        const TraceHandle trace = cache->getOrLoad(
+            device.platform.name(), profile.name, job.userSeed,
+            [&]() -> InteractionTrace {
+                InteractionTrace materialized;
+                if (config_.corpus) {
+                    // Throw (not fatal): this runs on a worker, and
+                    // the pool turns the exception into a run-level
+                    // diagnostic while other workers keep going and
+                    // the final checkpoint still flushes.
+                    const CorpusEntry *entry = config_.corpus->find(
+                        profile.name, device.platform.name(),
+                        job.userSeed);
+                    std::string error;
+                    auto loaded = entry
+                        ? config_.corpus->load(*entry, &error)
+                        : std::nullopt;
+                    if (!loaded) {
+                        throw std::runtime_error(
+                            "corpus '" + config_.corpus->dir() +
+                            "': " +
+                            (entry ? error
+                                   : "preloaded entry disappeared"));
                     }
-                    // Scenario derivation happens INSIDE the loader:
-                    // re-materializing an evicted key reproduces the
-                    // transformed trace byte-identically (the transform
-                    // is pure by contract).
-                    if (config_.traceTransform)
-                        materialized =
-                            config_.traceTransform(materialized);
-                    return materialized;
-                });
-            trace = handle.get();
-        } else {
-            fresh = gen_slot->generate(profile, job.userSeed, trait_scale);
-            if (traits)
-                fresh = applyCohortScenario(*traits, fresh, job.userSeed);
-            if (config_.traceTransform)
-                fresh = config_.traceTransform(fresh);
-            trace = &fresh;
-        }
+                    corpus_loads.fetch_add(1);
+                    materialized = std::move(*loaded);
+                } else if (config_.population) {
+                    // Population traits are a pure function of the
+                    // user seed, so refills on any worker re-derive the
+                    // same cohort and multipliers (the cache key stays
+                    // (device, app, seed)). Cohort stress stacks on
+                    // synthesis only — corpus recordings already
+                    // captured their population's behaviour.
+                    const UserTraits traits = samplePopulationTraits(
+                        *config_.population, job.userSeed);
+                    materialized = applyCohortScenario(
+                        traits,
+                        gen_slot->generate(profile, job.userSeed,
+                                           &traits.scale),
+                        job.userSeed);
+                } else {
+                    materialized =
+                        gen_slot->generate(profile, job.userSeed);
+                }
+                // Scenario derivation happens INSIDE the loader:
+                // re-materializing an evicted key reproduces the
+                // transformed trace byte-identically (the transform
+                // is pure by contract).
+                if (config_.traceTransform)
+                    materialized =
+                        config_.traceTransform(materialized);
+                return materialized;
+            });
 
         SimConfig sim_config;
         sim_config.renderScale = profile.renderScale;
@@ -794,26 +762,17 @@ FleetRunner::run()
                 hashCombine(job.userSeed, kSpecNoiseSalt);
         }
 
-        RuntimeSimulator *simulator = nullptr;
-        std::optional<RuntimeSimulator> local_simulator;
-        if (config_.reuseEngines) {
-            auto &slot = engines[static_cast<size_t>(worker)]
-                [static_cast<size_t>(job.deviceIndex) * num_apps +
-                 static_cast<size_t>(job.appIndex)];
-            if (!slot) {
-                slot = std::make_unique<RuntimeSimulator>(
-                    device.platform, device.power,
-                    gen_slot->appFor(profile), sim_config);
-            }
-            // The engine's app/platform/renderScale are fixed per slot;
-            // only the per-session noise seed varies job to job.
-            slot->setSpecNoiseSeed(sim_config.specNoiseSeed);
-            simulator = slot.get();
-        } else {
-            local_simulator.emplace(device.platform, device.power,
-                                    gen_slot->appFor(profile), sim_config);
-            simulator = &*local_simulator;
+        auto &simulator = engines[static_cast<size_t>(worker)]
+            [static_cast<size_t>(job.deviceIndex) * num_apps +
+             static_cast<size_t>(job.appIndex)];
+        if (!simulator) {
+            simulator = std::make_unique<RuntimeSimulator>(
+                device.platform, device.power, gen_slot->appFor(profile),
+                sim_config);
         }
+        // The engine's app/platform/renderScale are fixed per slot; only
+        // the per-session noise seed varies job to job.
+        simulator->setSpecNoiseSeed(sim_config.specNoiseSeed);
 
         SessionStats session_stats;
         if (config_.collectResults) {
@@ -822,14 +781,11 @@ FleetRunner::run()
             stats[static_cast<size_t>(job.index)] = session_stats;
             full[static_cast<size_t>(job.index)] = std::move(result);
             executed[static_cast<size_t>(job.index)] = 1;
-        } else if (config_.reuseEngines) {
+        } else {
             // Stats-only fast path: reduce the session in-flight, never
             // materializing per-event records (bit-identical reduction,
             // locked by tests).
             session_stats = simulator->runStats(*trace, driver);
-        } else {
-            session_stats =
-                SessionStats::reduce(simulator->run(*trace, driver));
         }
         if (sink.store) {
             SessionRecord record;
@@ -875,9 +831,9 @@ FleetRunner::run()
         ThreadPool pool(config_.threads, telemetry != nullptr);
 
         // One driver per range: a per-cell "warmed device" for warm
-        // ranges, a fresh-state driver for singleton ranges. With
-        // engine reuse the driver comes from the worker's pool and is
-        // reset to as-constructed state instead of rebuilt.
+        // ranges, a fresh-state driver for singleton ranges. The driver
+        // comes from the worker's pool and is reset to as-constructed
+        // state instead of rebuilt.
         const auto runRange = [&](const JobRange &range, int worker) {
             const JobSpec &head =
                 jobs_[static_cast<size_t>(range.first)];
@@ -886,45 +842,25 @@ FleetRunner::run()
             const SchedulerKind kind =
                 config_.schedulers[static_cast<size_t>(
                     head.schedulerIndex)];
-            SchedulerDriver *driver = nullptr;
-            std::unique_ptr<SchedulerDriver> fresh;
-            if (config_.reuseEngines) {
-                auto &slot = driver_pool[static_cast<size_t>(worker)]
-                    [static_cast<size_t>(head.schedulerIndex) *
-                         devices.size() +
-                     static_cast<size_t>(head.deviceIndex)];
-                if (!slot || !slot->resetFresh())
-                    slot = makeFleetScheduler(kind, device);
-                driver = slot.get();
-            } else {
-                fresh = makeFleetScheduler(kind, device);
-                driver = fresh.get();
-            }
+            auto &driver = driver_pool[static_cast<size_t>(worker)]
+                [static_cast<size_t>(head.schedulerIndex) *
+                     devices.size() +
+                 static_cast<size_t>(head.deviceIndex)];
+            if (!driver || !driver->resetFresh())
+                driver = makeFleetScheduler(kind, device);
             for (int i = 0; i < range.count; ++i)
                 runJob(jobs_[static_cast<size_t>(range.first + i)],
                        worker, *driver);
         };
 
-        // Fresh fleets plan one singleton range per session; submitting
-        // each as its own pool task costs a queue round-trip per
-        // session. Batch contiguous ranges so the pool sees far fewer
-        // tasks than sessions — canonical (streamed or slot-indexed)
-        // reduction keeps reports byte-identical regardless of how
-        // ranges are grouped onto tasks. The batch size is capped:
-        // tasks run FIFO over contiguous chunks, so the streaming
-        // reducer's out-of-order window never exceeds the active task
-        // frontier (~threads × chunk jobs) — giant chunks would let
-        // fast workers race megabytes of stashed scalars ahead of the
-        // in-order cursor.
+        // Batch contiguous ranges so the pool sees far fewer tasks than
+        // sessions — canonical (streamed or slot-indexed) reduction
+        // keeps reports byte-identical regardless of how ranges are
+        // grouped onto tasks. The batch size is capped (rangesPerTask):
+        // giant chunks would let fast workers race megabytes of stashed
+        // scalars ahead of the in-order cursor.
         const std::vector<JobRange> &ranges = outcome.plan.ranges;
-        const size_t target_tasks =
-            static_cast<size_t>(config_.threads) * 4;
-        constexpr size_t kMaxRangesPerTask = 512;
-        const size_t chunk = std::min(
-            kMaxRangesPerTask,
-            ranges.size() > target_tasks
-                ? (ranges.size() + target_tasks - 1) / target_tasks
-                : 1);
+        const size_t chunk = rangesPerTask(ranges.size(), config_.threads);
         for (size_t first = 0; first < ranges.size(); first += chunk) {
             const size_t count = std::min(chunk, ranges.size() - first);
             pool.submit([&, first, count](int worker) {
@@ -959,13 +895,11 @@ FleetRunner::run()
 
     outcome.wallMs =
         std::chrono::duration<double, std::milli>(stop - start).count();
-    if (cache) {
-        outcome.traceCacheHits = cache->hits();
-        outcome.traceCacheMisses = cache->misses();
-        outcome.traceCacheEvictions = cache->evictions();
-        outcome.traceCacheDuplicateSynthesis = cache->duplicateSynthesis();
-        outcome.traceCacheContention = cache->lockContention();
-    }
+    outcome.traceCacheHits = cache->hits();
+    outcome.traceCacheMisses = cache->misses();
+    outcome.traceCacheEvictions = cache->evictions();
+    outcome.traceCacheDuplicateSynthesis = cache->duplicateSynthesis();
+    outcome.traceCacheContention = cache->lockContention();
     outcome.persistContention = sink.pushContention;
     outcome.tracesFromCorpus = traces_from_corpus + corpus_loads.load();
 

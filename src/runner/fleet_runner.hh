@@ -5,10 +5,11 @@
  * run() is an explicit four-stage pipeline, each stage a building block
  * that tools can reason about independently:
  *
- *  1. plan    — enumerate the job cross-product, select this machine's
- *               shard (--shard k/N), and drop jobs already persisted in
- *               the result store (--resume).
- *  2. execute — run the planned shards on a ThreadPool; workers write
+ *  1. plan    — cut the ranges this run covers (the whole sweep, a
+ *               coordinator lease, or a static --shard k/N, which fills
+ *               the same externalRanges) into execution units, and drop
+ *               those already persisted in the result store (--resume).
+ *  2. execute — run the planned ranges on a ThreadPool; workers write
  *               SessionStats into job-indexed slots. Worker exceptions
  *               become run-level diagnostics, never process death.
  *  3. persist — checkpoint completed sessions into the attached
@@ -31,14 +32,16 @@
  *    driver's cross-session state (EBS/PES measurement history) replays
  *    sequentially, reproducing the classic Experiment::runSweep
  *    protocol. --shard k/N distributes the same units across machines.
- *  - Isolation: each worker keeps its own trace-generator caches;
- *    shared state (platform, power table, trained event model, the
- *    LRU-bounded trace cache) is immutable or internally synchronized.
+ *  - Isolation: each worker keeps its own trace generators, engines and
+ *    drivers; shared state (platform, power table, trained event model,
+ *    the LRU-bounded trace cache) is immutable or internally
+ *    synchronized.
  */
 
 #ifndef PES_RUNNER_FLEET_RUNNER_HH
 #define PES_RUNNER_FLEET_RUNNER_HH
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -60,7 +63,7 @@ struct FleetPlan
     int totalJobs = 0;
     /** Sessions this run will execute. */
     int plannedJobs = 0;
-    /** Sessions excluded by the shard selector. */
+    /** Sessions outside this run's ranges (other shards' or leases'). */
     int shardSkipped = 0;
     /** Sessions skipped because the store already holds them. */
     int resumeSkipped = 0;
@@ -102,8 +105,8 @@ struct FleetOutcome
     uint64_t persistedRecords = 0;
     /** Checkpoint flushes performed (parts written). */
     uint64_t checkpointFlushes = 0;
-    /** Trace-cache traffic of the run (0/0 when sharing was off).
-     *  Diagnostics only — never serialized into reports. */
+    /** Trace-cache traffic of the run. Diagnostics only — never
+     *  serialized into reports. */
     uint64_t traceCacheHits = 0;
     uint64_t traceCacheMisses = 0;
     uint64_t traceCacheEvictions = 0;
@@ -114,8 +117,8 @@ struct FleetOutcome
     LockContention traceCacheContention;
     /** Contended acquisitions of the PersistSink push lock. */
     LockContention persistContention;
-    /** Corpus loads performed (preload, plus on-demand reloads when
-     *  the trace cache is capped). Corpus replay only. */
+    /** Corpus loads performed (preload, plus on-demand loads when the
+     *  sweep's traces do not all fit the cache). Corpus replay only. */
     uint64_t tracesFromCorpus = 0;
 };
 
@@ -152,6 +155,29 @@ class FleetRunner
     FleetConfig config_;
     std::vector<JobSpec> jobs_;
 };
+
+/**
+ * Entry capacity of the trace cache a run owns, derived from the sweep
+ * shape and @p plan:
+ *
+ *  - with several schedulers, or when replaying a corpus, the sweep's
+ *    distinct traces while they fit a fixed resident ceiling (32768
+ *    traces): never evicts, so every replay after the first hits (and
+ *    the corpus preload decodes each recording once), at any thread
+ *    count;
+ *  - past the ceiling, one cell's users (the reuse distance of a trace
+ *    in canonical job order, exact for one worker) plus what the other
+ *    workers hold in flight (a warm cell, or a pool task's chunk of
+ *    fresh jobs, each);
+ *  - otherwise with a lone scheduler (no trace is replayed twice), or
+ *    when that window exceeds the ceiling too, just `threads` — the
+ *    traces in flight.
+ *
+ * Capacity never changes report bytes: an evicted trace re-materializes
+ * deterministically.
+ */
+size_t traceCacheCapacity(const FleetConfig &config,
+                          const FleetPlan &plan);
 
 /**
  * Build the RunTelemetry summary of one finished run (tool = "run"):

@@ -138,8 +138,6 @@ RuntimeSimulator::reset(const InteractionTrace &trace,
     lastDisplay_ = 0.0;
 
     statsViolations_ = 0;
-    statsLatencySum_ = 0.0;
-    statsMaxLatency_ = 0.0;
     statsLatencies_.clear();
 
     // Rebuild result_ keeping the vectors' allocated storage.
@@ -423,9 +421,9 @@ RuntimeSimulator::serveEvent(int trace_index, TimeMs frame_ready,
 
     const TraceEvent &e = trace_->events[static_cast<size_t>(trace_index)];
     if (statsOnly_) {
-        // Events are served strictly in trace order, so accumulating the
-        // latency reduction here reproduces SessionStats::reduce() term
-        // for term (same values, same accumulation order).
+        // Events are served strictly in trace order, so the latencies
+        // collected here feed SessionStats::fold() exactly what
+        // SessionStats::reduce() extracts from the full records.
         EventRecord rec;
         rec.arrival = e.arrival;
         rec.qosTarget = e.qosTarget();
@@ -434,9 +432,7 @@ RuntimeSimulator::serveEvent(int trace_index, TimeMs frame_ready,
             vsync_.nextVsyncAt(std::max(e.arrival, frame_ready));
         const double lat = rec.latency();
         statsViolations_ += rec.violated() ? 1 : 0;
-        statsLatencySum_ += lat;
         statsLatencies_.push_back(lat);
-        statsMaxLatency_ = std::max(statsMaxLatency_, lat);
         lastDisplay_ = std::max(lastDisplay_, rec.displayed);
     } else {
         EventRecord &rec = result_.events[static_cast<size_t>(trace_index)];
@@ -727,13 +723,11 @@ RuntimeSimulator::retagEndOfRunWaste()
     specFrames_.clear();
 }
 
-SimResult
-RuntimeSimulator::finalize()
+void
+RuntimeSimulator::closeSession()
 {
     retagEndOfRunWaste();
-
     result_.duration = std::max(now_, lastDisplay_);
-    // Close the idle gap between the last activity and the duration end.
     const EnergyTotals totals = meter_.tagTotals();
     result_.totalEnergy = totals.total;
     result_.busyEnergy = totals.of(EnergyTag::Busy);
@@ -741,41 +735,20 @@ RuntimeSimulator::finalize()
     result_.overheadEnergy = totals.of(EnergyTag::Overhead);
     result_.wasteEnergy = totals.of(EnergyTag::SpeculativeWaste);
     result_.avgQueueLength = queue_.lengthStats().mean();
+}
+
+SimResult
+RuntimeSimulator::finalize()
+{
+    closeSession();
     return std::move(result_);
 }
 
 SessionStats
 RuntimeSimulator::finalizeStats()
 {
-    retagEndOfRunWaste();
-
-    SessionStats s;
-    s.events = static_cast<int>(trace_->events.size());
-    s.violations = statsViolations_;
-    s.maxLatencyMs = statsMaxLatency_;
-    if (s.events > 0) {
-        s.meanLatencyMs = statsLatencySum_ / s.events;
-        SampleSet latencies;
-        for (double lat : statsLatencies_) {
-            latencies.add(lat);
-            s.latencySketch.add(lat);
-        }
-        s.p95LatencyMs = latencies.percentile(95.0);
-    }
-    const EnergyTotals totals = meter_.tagTotals();
-    s.totalEnergyMj = totals.total;
-    s.busyEnergyMj = totals.of(EnergyTag::Busy);
-    s.idleEnergyMj = totals.of(EnergyTag::Idle);
-    s.overheadEnergyMj = totals.of(EnergyTag::Overhead);
-    s.wasteEnergyMj = totals.of(EnergyTag::SpeculativeWaste);
-    s.durationMs = std::max(now_, lastDisplay_);
-    s.predictionsMade = result_.predictionsMade;
-    s.predictionsCorrect = result_.predictionsCorrect;
-    s.mispredictions = result_.mispredictions;
-    s.mispredictWasteMs = result_.mispredictWasteMs;
-    s.avgQueueLength = queue_.lengthStats().mean();
-    s.fellBackToReactive = result_.fellBackToReactive;
-    return s;
+    closeSession();
+    return SessionStats::fold(result_, statsLatencies_, statsViolations_);
 }
 
 } // namespace pes

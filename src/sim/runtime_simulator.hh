@@ -138,6 +138,9 @@ class RuntimeSimulator
     Workload resolveTruth(const WorkItem &item, bool &matched) const;
     int configIndexOfCurrent();
     void retagEndOfRunWaste();
+    /** Settle the session totals (duration, energy by tag, queue
+     *  length) into result_; both finalize paths start here. */
+    void closeSession();
     SimResult finalize();
     SessionStats finalizeStats();
 
@@ -188,8 +191,6 @@ class RuntimeSimulator
     // ---- stats-only fast path ----
     bool statsOnly_ = false;
     int statsViolations_ = 0;
-    double statsLatencySum_ = 0.0;
-    double statsMaxLatency_ = 0.0;
     /** Per-event latencies in trace order (percentile input). */
     std::vector<double> statsLatencies_;
 };

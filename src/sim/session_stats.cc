@@ -9,34 +9,47 @@ namespace pes {
 SessionStats
 SessionStats::reduce(const SimResult &result)
 {
-    SessionStats s;
-    s.events = static_cast<int>(result.events.size());
-    SampleSet latencies;
-    double latency_sum = 0.0;
+    std::vector<double> latencies;
+    latencies.reserve(result.events.size());
+    int violations = 0;
     for (const EventRecord &e : result.events) {
-        s.violations += e.violated() ? 1 : 0;
-        const double lat = e.latency();
+        violations += e.violated() ? 1 : 0;
+        latencies.push_back(e.latency());
+    }
+    return fold(result, latencies, violations);
+}
+
+SessionStats
+SessionStats::fold(const SimResult &totals,
+                   const std::vector<double> &latencies, int violations)
+{
+    SessionStats s;
+    s.events = static_cast<int>(latencies.size());
+    s.violations = violations;
+    SampleSet samples;
+    double latency_sum = 0.0;
+    for (const double lat : latencies) {
         latency_sum += lat;
-        latencies.add(lat);
+        samples.add(lat);
         s.latencySketch.add(lat);
         s.maxLatencyMs = std::max(s.maxLatencyMs, lat);
     }
     if (s.events > 0) {
         s.meanLatencyMs = latency_sum / s.events;
-        s.p95LatencyMs = latencies.percentile(95.0);
+        s.p95LatencyMs = samples.percentile(95.0);
     }
-    s.totalEnergyMj = result.totalEnergy;
-    s.busyEnergyMj = result.busyEnergy;
-    s.idleEnergyMj = result.idleEnergy;
-    s.overheadEnergyMj = result.overheadEnergy;
-    s.wasteEnergyMj = result.wasteEnergy;
-    s.durationMs = result.duration;
-    s.predictionsMade = result.predictionsMade;
-    s.predictionsCorrect = result.predictionsCorrect;
-    s.mispredictions = result.mispredictions;
-    s.mispredictWasteMs = result.mispredictWasteMs;
-    s.avgQueueLength = result.avgQueueLength;
-    s.fellBackToReactive = result.fellBackToReactive;
+    s.totalEnergyMj = totals.totalEnergy;
+    s.busyEnergyMj = totals.busyEnergy;
+    s.idleEnergyMj = totals.idleEnergy;
+    s.overheadEnergyMj = totals.overheadEnergy;
+    s.wasteEnergyMj = totals.wasteEnergy;
+    s.durationMs = totals.duration;
+    s.predictionsMade = totals.predictionsMade;
+    s.predictionsCorrect = totals.predictionsCorrect;
+    s.mispredictions = totals.mispredictions;
+    s.mispredictWasteMs = totals.mispredictWasteMs;
+    s.avgQueueLength = totals.avgQueueLength;
+    s.fellBackToReactive = totals.fellBackToReactive;
     return s;
 }
 

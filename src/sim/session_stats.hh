@@ -13,6 +13,8 @@
 #ifndef PES_SIM_SESSION_STATS_HH
 #define PES_SIM_SESSION_STATS_HH
 
+#include <vector>
+
 #include "sim/sim_types.hh"
 #include "util/psketch.hh"
 
@@ -47,8 +49,20 @@ struct SessionStats
      */
     PercentileSketch latencySketch;
 
-    /** Reduce a full simulation result. */
+    /** Reduce a full simulation result (through fold()). */
     static SessionStats reduce(const SimResult &result);
+
+    /**
+     * The one session reduction both simulator paths share: latency
+     * statistics over @p latencies (per event, in trace order) with
+     * @p violations deadline misses, plus the session totals of
+     * @p totals — energy, duration, predictions, queue length, fallback.
+     * @p totals.events is not read, so the stats-only fast path passes
+     * a result that never materialized per-event records.
+     */
+    static SessionStats fold(const SimResult &totals,
+                             const std::vector<double> &latencies,
+                             int violations);
 };
 
 } // namespace pes

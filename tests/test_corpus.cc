@@ -3,9 +3,10 @@
  * Tests for the trace-corpus subsystem: .ptrc round-trip fidelity,
  * failure diagnostics (truncation, corruption, version skew, missing
  * files), the CorpusStore manifest, the TraceCache, deterministic
- * mutation, and the two fleet-level guarantees — corpus replay and
- * shared-trace sweeps produce byte-identical reports to per-job live
- * synthesis.
+ * mutation, and the fleet-level guarantees — corpus replay reproduces
+ * live synthesis byte for byte, and the runner's trace cache, sized
+ * from the sweep shape, keeps every hit of a bounded sweep while a
+ * lone-scheduler sweep holds only in-flight traces.
  */
 
 #include <gtest/gtest.h>
@@ -584,9 +585,7 @@ reportBytes(FleetRunner &runner, const FleetOutcome &outcome)
 
 TEST(FleetCorpus, RecordedReplayIsByteIdenticalToLiveSynthesis)
 {
-    // Live synthesis (per-job, no sharing: the historical path).
     FleetConfig live = fidelityFleet();
-    live.shareTraces = false;
     FleetRunner live_runner(live);
     const std::string live_bytes =
         reportBytes(live_runner, live_runner.run());
@@ -618,6 +617,18 @@ TEST(FleetCorpus, RecordedReplayIsByteIdenticalToLiveSynthesis)
     const FleetOutcome outcome = replay_runner.run();
     EXPECT_EQ(outcome.tracesFromCorpus, 4u);  // 2 apps x 2 users
     EXPECT_EQ(reportBytes(replay_runner, outcome), live_bytes);
+
+    // A lone scheduler replays each trace once, yet a corpus replay
+    // still keeps what the preload decoded, so it decodes each once.
+    FleetConfig lone = replay;
+    lone.schedulers = {SchedulerKind::Interactive};
+    lone.threads = 1;
+    FleetRunner lone_runner(lone);
+    EXPECT_EQ(traceCacheCapacity(lone_runner.config(), lone_runner.plan()),
+              4u);
+    const FleetOutcome lone_outcome = lone_runner.run();
+    EXPECT_EQ(lone_outcome.tracesFromCorpus, 4u);
+    EXPECT_EQ(lone_outcome.traceCacheEvictions, 0u);
 }
 
 TEST(FleetCorpus, CappedCacheReplayReloadsFromCorpusNotSynthesis)
@@ -661,9 +672,11 @@ TEST(FleetCorpus, CappedCacheReplayReloadsFromCorpusNotSynthesis)
     const std::string uncapped_bytes =
         reportBytes(uncapped_runner, uncapped_runner.run());
 
+    TraceCache tiny;
+    tiny.setCapacity(1, 0);  // 4 distinct traces: every job re-misses
     FleetConfig capped = fidelityFleet();
     capped.corpus = &*store;
-    capped.traceCacheCap = 1;  // 4 distinct traces: every job re-misses
+    capped.traceCache = &tiny;
     FleetRunner capped_runner(capped);
     const FleetOutcome outcome = capped_runner.run();
     EXPECT_TRUE(outcome.diagnostics.empty());
@@ -671,55 +684,175 @@ TEST(FleetCorpus, CappedCacheReplayReloadsFromCorpusNotSynthesis)
     EXPECT_EQ(reportBytes(capped_runner, outcome), uncapped_bytes);
 }
 
-TEST(FleetCorpus, SharedTraceSweepMatchesPerJobSynthesis)
+TEST(FleetCorpus, CorruptRecordingFailsBeforeAnySessionUnderATransform)
 {
-    FleetConfig per_job = fidelityFleet();
-    per_job.shareTraces = false;
-    FleetRunner per_job_runner(per_job);
-    const FleetOutcome a = per_job_runner.run();
-    EXPECT_EQ(a.traceCacheHits + a.traceCacheMisses, 0u);
+    // A scenario transform keeps the preload from caching the raw
+    // recordings (sessions load and derive on demand). It still decodes
+    // every recording: a corrupt body dies up front, not as a worker
+    // diagnostic after sessions ran and reports were written.
+    const TempDir dir("corrupt_replay");
+    std::string error;
+    auto store = CorpusStore::create(dir.str(), &error);
+    ASSERT_TRUE(store.has_value()) << error;
+    FleetConfig replay = fidelityFleet();
+    replay.threads = 1;
+    {
+        TraceGenerator generator(exynos());
+        TraceProvenance provenance;
+        provenance.device = exynos().name();
+        for (const AppProfile &profile : replay.apps) {
+            for (int u = 0; u < replay.users; ++u) {
+                ASSERT_TRUE(store->add(
+                    generator.generate(profile, fleetUserSeed(replay, u)),
+                    provenance, &error))
+                    << error;
+            }
+        }
+        ASSERT_TRUE(store->save(&error)) << error;
+    }
+    // Flip a byte in the events payload of the last recording.
+    const CorpusEntry last = store->entries().back();
+    const fs::path file = dir.path / last.file;
+    std::fstream io(file,
+                    std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(io.is_open());
+    io.seekp(static_cast<std::streamoff>(fs::file_size(file) / 2));
+    io.put('\xff');
+    io.close();
+    ASSERT_FALSE(store->load(last, &error).has_value());
 
-    // Single worker makes the hit/miss split exact (multi-threaded runs
-    // may double-synthesize a racing key; bytes are identical either
-    // way). Comparing 1-thread-shared against 4-thread-per-job also
-    // recrosses the thread-count determinism guarantee.
-    FleetConfig shared = fidelityFleet();
-    ASSERT_TRUE(shared.shareTraces);  // the default
-    shared.threads = 1;
-    FleetRunner shared_runner(shared);
-    const FleetOutcome b = shared_runner.run();
-
-    EXPECT_EQ(reportBytes(shared_runner, b),
-              reportBytes(per_job_runner, a));
-    EXPECT_EQ(b.traceCacheMisses, 4u);  // 2 apps x 2 users
-    EXPECT_EQ(b.traceCacheHits,
-              static_cast<uint64_t>(b.jobCount) - b.traceCacheMisses);
+    replay.corpus = &*store;
+    replay.traceTransform = [](const InteractionTrace &trace) {
+        return trace;
+    };
+    EXPECT_DEATH(
+        {
+            FleetRunner runner(replay);
+            runner.run();
+        },
+        "corpus '");
 }
 
-TEST(FleetCorpus, AutoSharingOnlyWhenItPaysAndStaysBounded)
+TEST(FleetCorpus, DerivedCacheKeepsEveryHitOfAMultiSchedulerSweep)
 {
-    // A lone scheduler never reuses a trace: no cache traffic.
-    FleetConfig lone = fidelityFleet();
-    lone.schedulers = {SchedulerKind::Interactive};
-    FleetRunner lone_runner(lone);
-    const FleetOutcome a = lone_runner.run();
-    EXPECT_EQ(a.traceCacheHits + a.traceCacheMisses, 0u);
+    // Under the resident ceiling the run-owned cache holds every
+    // distinct trace: nothing evicts, and every replay after the first
+    // hits at any thread count.
+    for (const int threads : {1, 4}) {
+        FleetConfig config = fidelityFleet();  // 2 apps x 2 users
+        config.threads = threads;
+        FleetRunner runner(config);
+        EXPECT_EQ(traceCacheCapacity(runner.config(), runner.plan()), 4u);
+        const FleetOutcome outcome = runner.run();
+        EXPECT_EQ(outcome.traceCacheEvictions, 0u);
+        if (threads == 1) {
+            // Concurrent workers may race a key; one makes it exact.
+            EXPECT_EQ(outcome.traceCacheMisses, 4u);
+            EXPECT_EQ(outcome.traceCacheHits, (2 - 1) * 4u);
+        }
+    }
 
-    // Over the resident-set budget: falls back to per-job synthesis.
-    FleetConfig big = fidelityFleet();
-    big.maxSharedTraces = 1;
-    FleetRunner big_runner(big);
-    const FleetOutcome b = big_runner.run();
-    EXPECT_EQ(b.traceCacheHits + b.traceCacheMisses, 0u);
+    // One cell just under the ceiling on eight workers keeps it all.
+    FleetConfig wide = fidelityFleet();
+    wide.apps = {appByName("cnn")};
+    wide.users = 30000;
+    wide.threads = 8;
+    const FleetRunner planner(wide);
+    EXPECT_EQ(traceCacheCapacity(planner.config(), planner.plan()),
+              30000u);
+}
 
-    // Warm sweeps always share regardless of the budget (their
-    // protocol depends on record-once replay).
-    FleetConfig warm = fidelityFleet();
-    warm.maxSharedTraces = 1;
-    warm.warmDrivers = true;
-    FleetRunner warm_runner(warm);
-    const FleetOutcome c = warm_runner.run();
-    EXPECT_GT(c.traceCacheHits + c.traceCacheMisses, 0u);
+TEST(FleetCorpus, OneCellWindowKeepsEveryHitPastTheCeiling)
+{
+    // Past the ceiling a single worker needs just one cell's users: a
+    // trace's replays sit exactly that far apart in canonical order,
+    // and the worker's own pool task (two warm cells, or 150 fresh
+    // jobs, here) adds nothing to it.
+    for (const bool warm : {false, true}) {
+        FleetConfig giant = fidelityFleet();
+        giant.apps.push_back(appByName("amazon"));
+        giant.users = 12000;  // 36000 distinct traces
+        giant.threads = 1;
+        giant.warmDrivers = warm;
+        const FleetRunner planner(giant);
+        EXPECT_EQ(traceCacheCapacity(planner.config(), planner.plan()),
+                  12000u)
+            << (warm ? "warm" : "fresh");
+
+        // The same window at a runnable size, through a caller cache.
+        FleetConfig config = giant;
+        config.users = 100;
+        TraceCache window;
+        window.setCapacity(100, 0);
+        config.traceCache = &window;
+        FleetRunner runner(config);
+        const FleetOutcome outcome = runner.run();
+        const uint64_t distinct = 3 * 100;  // apps x users
+        EXPECT_EQ(outcome.traceCacheMisses, distinct);
+        EXPECT_EQ(outcome.traceCacheHits, (2 - 1) * distinct);
+        EXPECT_EQ(outcome.traceCacheEvictions, distinct - 100);
+
+        FleetConfig unbounded = config;
+        unbounded.traceCache = nullptr;
+        unbounded.threads = 4;
+        FleetRunner unbounded_runner(unbounded);
+        EXPECT_EQ(reportBytes(unbounded_runner, unbounded_runner.run()),
+                  reportBytes(runner, outcome));
+    }
+}
+
+TEST(FleetCorpus, LoneSchedulerSweepHoldsOnlyInFlightTraces)
+{
+    for (const int threads : {1, 4}) {
+        FleetConfig lone = fidelityFleet();
+        lone.schedulers = {SchedulerKind::Interactive};
+        lone.threads = threads;
+        FleetRunner runner(lone);
+        EXPECT_EQ(traceCacheCapacity(runner.config(), runner.plan()),
+                  static_cast<size_t>(threads));
+        const FleetOutcome outcome = runner.run();
+        EXPECT_EQ(outcome.traceCacheHits, 0u) << "threads=" << threads;
+        EXPECT_GE(outcome.traceCacheMisses, 4u);
+        EXPECT_GE(outcome.traceCacheEvictions + threads,
+                  outcome.traceCacheMisses)
+            << "threads=" << threads;
+
+        // Same bytes as an unbounded caller-provided cache.
+        TraceCache unbounded;
+        FleetConfig reference = lone;
+        reference.traceCache = &unbounded;
+        FleetRunner reference_runner(reference);
+        EXPECT_EQ(reportBytes(runner, outcome),
+                  reportBytes(reference_runner, reference_runner.run()))
+            << "threads=" << threads;
+    }
+}
+
+TEST(FleetCorpus, OversizedWorkingSetFallsBackToInFlightCapacity)
+{
+    // One cell's users alone exceed the resident ceiling: the derived
+    // capacity drops to the traces in flight, one per worker.
+    FleetConfig giant = fidelityFleet();
+    giant.users = 40000;
+    const FleetRunner planner(giant);
+    EXPECT_EQ(traceCacheCapacity(planner.config(), planner.plan()),
+              static_cast<size_t>(giant.threads));
+
+    // A multi-scheduler sweep held to that capacity re-materializes
+    // evicted traces and keeps its bytes.
+    FleetConfig config = fidelityFleet();
+    config.threads = 1;
+    FleetRunner runner(config);
+    const FleetOutcome outcome = runner.run();
+    TraceCache in_flight;
+    in_flight.setCapacity(static_cast<size_t>(config.threads), 0);
+    FleetConfig fallback = config;
+    fallback.traceCache = &in_flight;
+    FleetRunner fallback_runner(fallback);
+    const FleetOutcome held = fallback_runner.run();
+    EXPECT_GT(held.traceCacheEvictions, 0u);
+    EXPECT_EQ(reportBytes(fallback_runner, held),
+              reportBytes(runner, outcome));
 }
 
 TEST(FleetCorpus, ExplicitSeedListDrivesTheUserAxis)

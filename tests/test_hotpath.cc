@@ -1,8 +1,9 @@
 /**
  * @file
- * Tests for the simulator hot path: reusable per-worker engines and
- * pooled scheduler drivers (byte-identical to construct-per-job), the
- * stats-only fast path (bit-identical to reducing full results),
+ * Tests for the simulator hot path: the runner's reusable per-worker
+ * engines and pooled scheduler drivers (byte-identical to a reference
+ * that builds a fresh engine and driver per session), the stats-only
+ * fast path (bit-identical to reducing full results),
  * single-flight trace synthesis (duplicate_synthesis pinned to 0), and
  * engine reuse across run() calls (no state leaks between sessions).
  */
@@ -12,18 +13,24 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/ebs_scheduler.hh"
+#include "core/governors.hh"
+#include "core/pes_scheduler.hh"
+#include "core/predictor_training.hh"
 #include "corpus/corpus_store.hh"
 #include "corpus/trace_cache.hh"
 #include "runner/fleet_config.hh"
 #include "runner/fleet_runner.hh"
+#include "runner/metrics_aggregator.hh"
 #include "runner/reporters.hh"
 #include "sim/runtime_simulator.hh"
 #include "trace/generator.hh"
+#include "util/rng.hh"
 
 namespace pes {
 namespace {
@@ -45,11 +52,20 @@ exynos()
 FleetConfig
 hotpathFleet()
 {
+    // One event model for every run (and the reference): training is
+    // deterministic, so this only saves the per-run training time.
+    static const LogisticModel model = [] {
+        TraceGenerator generator(exynos());
+        return trainEventModel(generator, seenApps(),
+                               FleetConfig{}.trainingTracesPerApp);
+    }();
     FleetConfig config;
     config.apps = {appByName("cnn"), appByName("social_feed")};
     config.schedulers = {SchedulerKind::Interactive, SchedulerKind::Ebs,
                          SchedulerKind::Pes};
     config.users = 2;
+    config.pretrainedModel = &model;
+    config.pretrainedModelDevice = exynos().name();
     return config;
 }
 
@@ -63,21 +79,65 @@ runToBytes(FleetConfig config)
     return JsonReporter::toString(report) + CsvReporter::toString(report);
 }
 
+/**
+ * What the runner's one execution path must reproduce, built without
+ * it: every session of @p config on a fresh RuntimeSimulator and a
+ * fresh driver, reduced from its full result, folded into a
+ * MetricsAggregator in canonical job order.
+ */
+std::string
+referenceBytes(const FleetConfig &config)
+{
+    const FleetRunner planner(config);  // canonical jobs, default device
+    const FleetConfig &sweep = planner.config();
+    const AcmpPlatform &platform = sweep.devices.at(0);
+    const PowerModel power(platform);
+    TraceGenerator generator(platform);
+    MetricsAggregator metrics;
+    for (const JobSpec &job : planner.jobs()) {
+        const AppProfile &profile =
+            sweep.apps[static_cast<size_t>(job.appIndex)];
+        const SchedulerKind kind =
+            sweep.schedulers[static_cast<size_t>(job.schedulerIndex)];
+        std::unique_ptr<SchedulerDriver> driver;
+        switch (kind) {
+          case SchedulerKind::Interactive:
+            driver = std::make_unique<InteractiveGovernor>();
+            break;
+          case SchedulerKind::Ebs:
+            driver = std::make_unique<EbsScheduler>();
+            break;
+          case SchedulerKind::Pes:
+            driver = std::make_unique<PesScheduler>(*sweep.pretrainedModel);
+            break;
+          default:
+            ADD_FAILURE() << "reference covers hotpathFleet()'s drivers";
+            return {};
+        }
+        SimConfig sim_config;
+        sim_config.renderScale = profile.renderScale;
+        // The fleet's per-user speculation-noise stream.
+        sim_config.specNoiseSeed = hashCombine(job.userSeed, 0x5eedu);
+        RuntimeSimulator engine(platform, power, generator.appFor(profile),
+                                sim_config);
+        const InteractionTrace trace =
+            generator.generate(profile, job.userSeed);
+        metrics.add(platform.name(), profile.name, schedulerKindName(kind),
+                    SessionStats::reduce(engine.run(trace, *driver)));
+    }
+    const FleetReport report = makeFleetReport(sweep, metrics);
+    return JsonReporter::toString(report) + CsvReporter::toString(report);
+}
+
 // --------------------------------------- reused engines, pooled drivers
 
-TEST(HotPath, ReusedEnginesMatchConstructPerJobByteForByte)
+TEST(HotPath, RunnerMatchesFreshEnginePerSessionReference)
 {
+    const std::string reference = referenceBytes(hotpathFleet());
     for (const int threads : {1, 8}) {
-        FleetConfig reused = hotpathFleet();
-        reused.threads = threads;
-        ASSERT_TRUE(reused.reuseEngines);  // the default IS the fast path
-
-        FleetConfig fresh = hotpathFleet();
-        fresh.threads = threads;
-        fresh.reuseEngines = false;
-
-        EXPECT_EQ(runToBytes(reused), runToBytes(fresh))
-            << "threads=" << threads;
+        FleetConfig config = hotpathFleet();
+        config.threads = threads;
+        EXPECT_EQ(runToBytes(config), reference) << "threads=" << threads;
     }
 }
 
@@ -97,12 +157,13 @@ TEST(HotPath, StatsOnlyFastPathMatchesCollectedResults)
     }
 }
 
-TEST(HotPath, CorpusReplayByteIdenticalAcrossEngineModes)
+TEST(HotPath, CorpusReplayMatchesFreshEnginePerSessionReference)
 {
-    // Record the population once, then replay it with reused engines,
-    // per-job engines, and the stats-only path: all four reports must
-    // match byte for byte (live synthesis vs corpus replay is covered
-    // by test_corpus; this pins the hot-path knobs on the replay path).
+    // Record the population once, then replay it on the stats-only and
+    // the collected-results paths: both reports must match the
+    // fresh-engine reference byte for byte (live synthesis vs corpus
+    // replay is covered by test_corpus; this pins the hot path on the
+    // replay path).
     const fs::path dir =
         fs::temp_directory_path() / "pes_hotpath_corpus";
     fs::remove_all(dir);
@@ -125,18 +186,15 @@ TEST(HotPath, CorpusReplayByteIdenticalAcrossEngineModes)
         ASSERT_TRUE(store->save(&error)) << error;
     }
 
+    const std::string reference = referenceBytes(hotpathFleet());
     FleetConfig replay = hotpathFleet();
     replay.threads = 4;
     replay.corpus = &*store;
-    const std::string reused_bytes = runToBytes(replay);
-
-    FleetConfig per_job = replay;
-    per_job.reuseEngines = false;
-    EXPECT_EQ(runToBytes(per_job), reused_bytes);
+    EXPECT_EQ(runToBytes(replay), reference);
 
     FleetConfig collected = replay;
     collected.collectResults = true;
-    EXPECT_EQ(runToBytes(collected), reused_bytes);
+    EXPECT_EQ(runToBytes(collected), reference);
 
     fs::remove_all(dir);
 }

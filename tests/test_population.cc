@@ -368,10 +368,9 @@ TEST(PopulationFleet, ShardSplitMergeEqualsTheWholeRun)
     std::vector<std::string> shard_dirs;
     for (int k = 0; k < 2; ++k) {
         FleetConfig shard = populationFleet(*spec);
-        shard.shardIndex = k;
-        shard.shardCount = 2;
         shard.threads = 1 + k;
         shard.checkpointEvery = 2;
+        selectShard(shard, k, 2);
         const std::string shard_dir =
             (dir.path / ("s" + std::to_string(k))).string();
         auto store = ResultStore::create(

@@ -13,7 +13,10 @@
 
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <vector>
 
+#include "corpus/trace_cache.hh"
 #include "results/result_format.hh"
 #include "results/result_reduce.hh"
 #include "results/result_store.hh"
@@ -538,10 +541,9 @@ TEST(FleetResults, ShardedRunsMergeToTheWholeRunBytes)
         for (int k = 0; k < 3; ++k) {
             FleetConfig shard = fidelityFleet();
             shard.warmDrivers = warm;
-            shard.shardIndex = k;
-            shard.shardCount = 3;
             shard.threads = 1 + k;
             shard.checkpointEvery = 2;
+            selectShard(shard, k, 3);
             const std::string shard_dir =
                 (dir.path / ("s" + std::to_string(k))).string();
             auto store = ResultStore::create(
@@ -584,8 +586,7 @@ TEST(FleetResults, ResumeSkipsCompletedJobsAndReproducesTheWholeRun)
     const TempDir dir("resume");
     std::string error;
     FleetConfig partial = fidelityFleet();
-    partial.shardIndex = 0;
-    partial.shardCount = 2;
+    selectShard(partial, 0, 2);
     partial.checkpointEvery = 1;
     auto store = ResultStore::create(dir.str(),
                                      SweepSpec::fromConfig(partial),
@@ -634,6 +635,103 @@ TEST(FleetResults, ResumeSkipsCompletedJobsAndReproducesTheWholeRun)
               whole_bytes);
 }
 
+TEST(FleetResults, ShardSugarCoversTheSweepExactlyOnce)
+{
+    for (const bool warm : {false, true}) {
+        FleetConfig whole = fidelityFleet();
+        whole.warmDrivers = warm;
+        const int cell = whole.effectiveUsers();
+        std::vector<int> covered(static_cast<size_t>(whole.jobCount()), 0);
+        for (int k = 0; k < 3; ++k) {
+            FleetConfig shard = whole;
+            selectShard(shard, k, 3);
+            EXPECT_EQ(shard.persistLabel, "s" + std::to_string(k));
+            int jobs = 0;
+            for (const JobRange &range : shard.externalRanges) {
+                if (warm) {
+                    // A warmed driver's cell never splits across shards.
+                    EXPECT_EQ(range.first % cell, 0);
+                    EXPECT_EQ(range.count % cell, 0);
+                }
+                for (int i = range.first; i < range.first + range.count;
+                     ++i)
+                    ++covered[static_cast<size_t>(i)];
+                jobs += range.count;
+            }
+            const FleetPlan plan = FleetRunner(shard).plan();
+            EXPECT_EQ(plan.plannedJobs, jobs);
+            EXPECT_EQ(plan.shardSkipped, whole.jobCount() - jobs);
+        }
+        for (const int times : covered)
+            EXPECT_EQ(times, 1) << (warm ? "warm" : "fresh");
+    }
+
+    // More shards than units: the spare shard runs nothing, and never
+    // falls back to the whole sweep.
+    FleetConfig spare = fidelityFleet();
+    spare.warmDrivers = true;
+    selectShard(spare, spare.cellCount(), spare.cellCount() + 1);
+    FleetRunner runner(spare);
+    const FleetPlan plan = runner.plan();
+    EXPECT_EQ(plan.plannedJobs, 0);
+    EXPECT_EQ(plan.shardSkipped, spare.jobCount());
+    EXPECT_EQ(runner.run().jobCount, 0);
+}
+
+TEST(FleetResults, ShardResumeReproducesTheWholeRun)
+{
+    FleetConfig whole = fidelityFleet();
+    FleetRunner whole_runner(whole);
+    const std::string whole_bytes =
+        reportBytes(whole_runner.config(), whole_runner.run().metrics);
+
+    const TempDir dir("shard_resume");
+    std::string error;
+    std::vector<std::string> shard_dirs;
+    for (int k = 0; k < 2; ++k) {
+        FleetConfig shard = fidelityFleet();
+        shard.checkpointEvery = 1;
+        selectShard(shard, k, 2);
+        const std::string shard_dir =
+            (dir.path / ("s" + std::to_string(k))).string();
+        auto store = ResultStore::create(
+            shard_dir, SweepSpec::fromConfig(shard), &error);
+        ASSERT_TRUE(store.has_value()) << error;
+        shard.resultStore = &*store;
+
+        // "Kill" shard 1 partway: only its first ranges get persisted.
+        int killed_after = 0;
+        if (k == 1) {
+            FleetConfig partial = shard;
+            partial.externalRanges.resize(
+                partial.externalRanges.size() / 2);
+            for (const JobRange &range : partial.externalRanges)
+                killed_after += range.count;
+            ASSERT_GT(killed_after, 0);
+            FleetRunner partial_runner(partial);
+            EXPECT_TRUE(partial_runner.run().diagnostics.empty());
+            shard.resume = true;
+        }
+        FleetRunner runner(shard);
+        EXPECT_EQ(runner.plan().resumeSkipped, killed_after);
+        EXPECT_TRUE(runner.run().diagnostics.empty());
+        shard_dirs.push_back(shard_dir);
+    }
+
+    auto merged = ResultStore::create((dir.path / "merged").string(),
+                                      SweepSpec::fromConfig(whole),
+                                      &error);
+    ASSERT_TRUE(merged.has_value()) << error;
+    for (const std::string &shard_dir : shard_dirs) {
+        auto src = ResultStore::open(shard_dir, &error);
+        ASSERT_TRUE(src.has_value()) << error;
+        ASSERT_TRUE(merged->mergeFrom(*src, &error)) << error;
+    }
+    EXPECT_EQ(merged->recordCount(),
+              static_cast<uint64_t>(whole_runner.jobs().size()));
+    EXPECT_EQ(storeReportBytes(*merged), whole_bytes);
+}
+
 TEST(FleetResults, TraceCacheEvictionNeverChangesReportBytes)
 {
     FleetConfig unbounded = fidelityFleet();
@@ -641,8 +739,10 @@ TEST(FleetResults, TraceCacheEvictionNeverChangesReportBytes)
     const std::string unbounded_bytes = reportBytes(
         unbounded_runner.config(), unbounded_runner.run().metrics);
 
+    TraceCache small;
+    small.setCapacity(2, 0);  // 6 distinct traces in this sweep
     FleetConfig capped = fidelityFleet();
-    capped.traceCacheCap = 2;  // 6 distinct traces in this sweep
+    capped.traceCache = &small;
     FleetRunner capped_runner(capped);
     const FleetOutcome outcome = capped_runner.run();
     EXPECT_GT(outcome.traceCacheEvictions, 0u);

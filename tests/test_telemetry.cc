@@ -164,7 +164,9 @@ TEST(TraceSink, InstantEventsRecordCacheEvictions)
     TraceEventSink sink(TraceEventSink::Clock::Logical);
     FleetConfig config = miniConfig(1);
     config.traceSink = &sink;
-    config.traceCacheCap = 2;  // 4 distinct traces -> must evict
+    // A lone scheduler holds only the in-flight trace: 6 distinct
+    // traces through a 1-trace cache must evict.
+    config.schedulers = {SchedulerKind::Ebs};
     FleetRunner runner(std::move(config));
     runner.run();
 

@@ -88,14 +88,6 @@ usage()
         "(see pes_corpus) instead\n"
         "                     of synthesizing; reports stay "
         "byte-identical to live synthesis\n"
-        "  --no-trace-share   synthesize per job instead of sharing each "
-        "(device, app, user)\n"
-        "                     trace across schedulers (slower; identical "
-        "reports)\n"
-        "  --trace-cache-cap=N  LRU-bound the shared trace cache to N "
-        "resident traces\n"
-        "                     (0 = unbounded; eviction never changes "
-        "report bytes)\n"
         "  --results-dir=DIR  persist per-session results into a .psum "
         "result store,\n"
         "                     checkpointing as the sweep runs; reports "
@@ -1097,20 +1089,110 @@ failProblems(const std::vector<IntegrityProblem> &problems)
     return integrityExitCode(problems);
 }
 
+/**
+ * The sweep flags the run and stress verbs share: the sweep axes, the
+ * corpus, persistence and sharding knobs, and the report paths.
+ */
+struct SweepFlags
+{
+    FleetConfig config;
+    std::string outPath;
+    std::string csvPath;
+    std::string resultsDir;
+    std::string corpusDir;
+    /** --shard=K/N (1 = the whole sweep). */
+    int shardIndex = 0;
+    int shardCount = 1;
+
+    SweepFlags()
+    {
+        config.schedulers = {SchedulerKind::Pes, SchedulerKind::Ebs};
+        config.apps = parseAppList("cnn,amazon,social_feed");
+        config.users = 100;
+        config.threads = Experiment::defaultSweepThreads();
+    }
+
+    /** Consume @p arg; true when it was a sweep flag. */
+    bool consume(const std::string &arg)
+    {
+        std::string value;
+        if (arg == "--warm") {
+            config.warmDrivers = true;
+        } else if (arg == "--eval-population") {
+            config.seedMode = SeedMode::Evaluation;
+        } else if (arg == "--resume") {
+            config.resume = true;
+        } else if (flagValue(arg, "schedulers", value)) {
+            config.schedulers = parseSchedulerList(value);
+        } else if (flagValue(arg, "apps", value)) {
+            config.apps = parseAppList(value);
+        } else if (flagValue(arg, "devices", value)) {
+            config.devices = parseDeviceList(value);
+        } else if (flagValue(arg, "users", value)) {
+            const long users = parseLong(value, "users");
+            fatal_if(users < 1 || users > 100000000,
+                     "--users must be in [1, 1e8]");
+            config.users = static_cast<int>(users);
+        } else if (flagValue(arg, "threads", value)) {
+            const long threads = parseLong(value, "threads");
+            fatal_if(threads < 1 || threads > 4096,
+                     "--threads must be in [1, 4096]");
+            config.threads = static_cast<int>(threads);
+        } else if (flagValue(arg, "seed", value)) {
+            config.baseSeed = parseSeed(value);
+        } else if (flagValue(arg, "shard", value)) {
+            const size_t slash = value.find('/');
+            fatal_if(slash == std::string::npos,
+                     "--shard expects K/N (e.g. 0/4), got '%s'",
+                     value.c_str());
+            const long k = parseLong(value.substr(0, slash), "shard");
+            const long n = parseLong(value.substr(slash + 1), "shard");
+            fatal_if(n < 1 || n > 1000000 || k < 0 || k >= n,
+                     "--shard=K/N needs 0 <= K < N, got '%s'",
+                     value.c_str());
+            shardIndex = static_cast<int>(k);
+            shardCount = static_cast<int>(n);
+        } else if (flagValue(arg, "checkpoint-every", value)) {
+            const long every = parseLong(value, "checkpoint-every");
+            fatal_if(every < 0 || every > 100000000,
+                     "--checkpoint-every must be in [0, 1e8]");
+            config.checkpointEvery = static_cast<int>(every);
+        } else if (flagValue(arg, "results-dir", value)) {
+            resultsDir = value;
+        } else if (flagValue(arg, "corpus", value)) {
+            corpusDir = value;
+        } else if (flagValue(arg, "out", value)) {
+            outPath = value;
+        } else if (flagValue(arg, "csv", value)) {
+            csvPath = value;
+        } else {
+            return false;
+        }
+        return true;
+    }
+
+    /**
+     * Turn --shard into the job ranges and part label it stands for.
+     * Call once every axis flag is parsed: the ranges follow the
+     * sweep's shape.
+     */
+    void applyShard()
+    {
+        if (sharded())
+            selectShard(config, shardIndex, shardCount);
+    }
+
+    bool sharded() const { return shardCount > 1; }
+};
+
 int
 cmdStress(int argc, char **argv)
 {
-    FleetConfig base;
-    base.schedulers = {SchedulerKind::Pes, SchedulerKind::Ebs};
-    base.apps = parseAppList("cnn,amazon,social_feed");
-    base.users = 100;
-    base.threads = Experiment::defaultSweepThreads();
-
+    SweepFlags flags;
     std::string family_name, spec_path, severities_spec =
         "0,0.25,0.5,0.75,1";
     uint64_t scenario_seed = kDefaultScenarioSeed;
-    std::string out_path, csv_path, reports_dir, results_dir, corpus_dir;
-    bool resume = false;
+    std::string reports_dir;
     bool quiet = false;
     ObsOptions obs;
 
@@ -1124,16 +1206,8 @@ cmdStress(int argc, char **argv)
             return listFamilies();
         } else if (arg == "--quiet") {
             quiet = true;
-        } else if (obs.consume(arg)) {
-            // observability flags (shared across verbs)
-        } else if (arg == "--warm") {
-            base.warmDrivers = true;
-        } else if (arg == "--eval-population") {
-            base.seedMode = SeedMode::Evaluation;
-        } else if (arg == "--resume") {
-            resume = true;
-        } else if (arg == "--no-trace-share") {
-            base.shareTraces = false;
+        } else if (obs.consume(arg) || flags.consume(arg)) {
+            // observability and sweep flags (shared across verbs)
         } else if (flagValue(arg, "family", value)) {
             family_name = value;
         } else if (flagValue(arg, "scenario-spec", value)) {
@@ -1142,55 +1216,8 @@ cmdStress(int argc, char **argv)
             severities_spec = value;
         } else if (flagValue(arg, "scenario-seed", value)) {
             scenario_seed = parseSeed(value);
-        } else if (flagValue(arg, "schedulers", value)) {
-            base.schedulers = parseSchedulerList(value);
-        } else if (flagValue(arg, "apps", value)) {
-            base.apps = parseAppList(value);
-        } else if (flagValue(arg, "devices", value)) {
-            base.devices = parseDeviceList(value);
-        } else if (flagValue(arg, "users", value)) {
-            const long users = parseLong(value, "users");
-            fatal_if(users < 1 || users > 100000000,
-                     "--users must be in [1, 1e8]");
-            base.users = static_cast<int>(users);
-        } else if (flagValue(arg, "threads", value)) {
-            const long threads = parseLong(value, "threads");
-            fatal_if(threads < 1 || threads > 4096,
-                     "--threads must be in [1, 4096]");
-            base.threads = static_cast<int>(threads);
-        } else if (flagValue(arg, "seed", value)) {
-            base.baseSeed = parseSeed(value);
-        } else if (flagValue(arg, "corpus", value)) {
-            corpus_dir = value;
-        } else if (flagValue(arg, "results-dir", value)) {
-            results_dir = value;
-        } else if (flagValue(arg, "shard", value)) {
-            const size_t slash = value.find('/');
-            fatal_if(slash == std::string::npos,
-                     "--shard expects K/N (e.g. 0/4), got '%s'",
-                     value.c_str());
-            const long k = parseLong(value.substr(0, slash), "shard");
-            const long n = parseLong(value.substr(slash + 1), "shard");
-            fatal_if(n < 1 || n > 1000000 || k < 0 || k >= n,
-                     "--shard=K/N needs 0 <= K < N, got '%s'",
-                     value.c_str());
-            base.shardIndex = static_cast<int>(k);
-            base.shardCount = static_cast<int>(n);
-        } else if (flagValue(arg, "checkpoint-every", value)) {
-            const long every = parseLong(value, "checkpoint-every");
-            fatal_if(every < 0 || every > 100000000,
-                     "--checkpoint-every must be in [0, 1e8]");
-            base.checkpointEvery = static_cast<int>(every);
-        } else if (flagValue(arg, "trace-cache-cap", value)) {
-            const long cap = parseLong(value, "trace-cache-cap");
-            fatal_if(cap < 0, "--trace-cache-cap must be >= 0");
-            base.traceCacheCap = static_cast<size_t>(cap);
         } else if (flagValue(arg, "reports-dir", value)) {
             reports_dir = value;
-        } else if (flagValue(arg, "out", value)) {
-            out_path = value;
-        } else if (flagValue(arg, "csv", value)) {
-            csv_path = value;
         } else {
             std::cerr << "stress: unknown option '" << arg << "'\n\n";
             usage();
@@ -1200,16 +1227,20 @@ cmdStress(int argc, char **argv)
     fatal_if(family_name.empty() == spec_path.empty(),
              "stress: exactly one of --family / --scenario-spec is "
              "required (--list-families shows the registry)");
-    fatal_if(resume && results_dir.empty(),
+    const std::string &results_dir = flags.resultsDir;
+    fatal_if(flags.config.resume && results_dir.empty(),
              "stress: --resume requires --results-dir");
-    const bool sharded = base.shardCount > 1;
+    const bool sharded = flags.sharded();
     fatal_if(sharded && results_dir.empty(),
              "stress: --shard requires --results-dir (shards meet "
              "again via `pes_fleet merge` per severity)");
-    fatal_if(sharded && (!out_path.empty() || !csv_path.empty()),
+    fatal_if(sharded &&
+                 (!flags.outPath.empty() || !flags.csvPath.empty()),
              "stress: a single shard cannot emit curves; merge the "
              "severity stores (`pes_fleet merge`) and re-run stress "
              "with --results-dir + --resume to reduce them");
+    flags.applyShard();
+    FleetConfig &base = flags.config;
 
     // Resolve the family: registry name or user spec. Every spec
     // failure is classified (3 missing file, 4 malformed/invalid) so
@@ -1249,9 +1280,9 @@ cmdStress(int argc, char **argv)
 
     obs.applyLogging(true);
     std::optional<CorpusStore> corpus;
-    if (!corpus_dir.empty()) {
+    if (!flags.corpusDir.empty()) {
         std::string error;
-        corpus = CorpusStore::open(corpus_dir, &error);
+        corpus = CorpusStore::open(flags.corpusDir, &error);
         fatal_if(!corpus, "cannot open corpus: %s", error.c_str());
         base.corpus = &*corpus;
     }
@@ -1288,8 +1319,10 @@ cmdStress(int argc, char **argv)
                 dir, SweepSpec::fromConfig(cell.config), &error);
             fatal_if(!store, "cannot open results dir: %s",
                      error.c_str());
+            // expand() clears the store and resume per cell; both come
+            // back here, per severity.
             cell.config.resultStore = &*store;
-            cell.config.resume = resume;
+            cell.config.resume = base.resume;
         }
         TelemetryRegistry telemetry;
         telemetry.setEnabled(obs.wantsTelemetry());
@@ -1348,8 +1381,8 @@ cmdStress(int argc, char **argv)
         writeTraceFile(*trace_sink, obs.traceOut);
     if (sharded) {
         if (!quiet) {
-            std::cout << "shard " << base.shardIndex << "/"
-                      << base.shardCount << " persisted under "
+            std::cout << "shard " << flags.shardIndex << "/"
+                      << flags.shardCount << " persisted under "
                       << results_dir << "; merge each sev-* store, "
                       "then `pes_fleet stress ... --results-dir="
                       "MERGED --resume` emits the curves\n";
@@ -1372,17 +1405,17 @@ cmdStress(int argc, char **argv)
     }
     table.print(std::cout);
 
-    if (!out_path.empty()) {
-        std::ofstream os(out_path);
-        fatal_if(!os, "cannot open '%s'", out_path.c_str());
+    if (!flags.outPath.empty()) {
+        std::ofstream os(flags.outPath);
+        fatal_if(!os, "cannot open '%s'", flags.outPath.c_str());
         writeRobustnessJson(*robustness, os);
-        std::cout << "[curves json: " << out_path << "]\n";
+        std::cout << "[curves json: " << flags.outPath << "]\n";
     }
-    if (!csv_path.empty()) {
-        std::ofstream os(csv_path);
-        fatal_if(!os, "cannot open '%s'", csv_path.c_str());
+    if (!flags.csvPath.empty()) {
+        std::ofstream os(flags.csvPath);
+        fatal_if(!os, "cannot open '%s'", flags.csvPath.c_str());
         writeRobustnessCsv(*robustness, os);
-        std::cout << "[curves csv: " << csv_path << "]\n";
+        std::cout << "[curves csv: " << flags.csvPath << "]\n";
     }
     return run_problems > 0 ? 1 : 0;
 }
@@ -1405,16 +1438,7 @@ main(int argc, char **argv)
     const int arg_start =
         (argc > 1 && argv[1] == std::string("run")) ? 2 : 1;
 
-    FleetConfig config;
-    config.schedulers = {SchedulerKind::Pes, SchedulerKind::Ebs};
-    config.apps = parseAppList("cnn,amazon,social_feed");
-    config.users = 100;
-    config.threads = Experiment::defaultSweepThreads();
-
-    std::string out_path;
-    std::string csv_path;
-    std::string corpus_dir;
-    std::string results_dir;
+    SweepFlags flags;
     std::string population_ref;
     bool quiet = false;
     ObsOptions obs;
@@ -1433,76 +1457,20 @@ main(int argc, char **argv)
             return listPopulations();
         } else if (arg == "--quiet") {
             quiet = true;
-        } else if (obs.consume(arg)) {
-            // observability flags (shared across verbs)
-        } else if (arg == "--warm") {
-            config.warmDrivers = true;
-        } else if (arg == "--no-trace-share") {
-            config.shareTraces = false;
-        } else if (arg == "--resume") {
-            config.resume = true;
-        } else if (flagValue(arg, "results-dir", value)) {
-            results_dir = value;
-        } else if (flagValue(arg, "shard", value)) {
-            const size_t slash = value.find('/');
-            fatal_if(slash == std::string::npos,
-                     "--shard expects K/N (e.g. 0/4), got '%s'",
-                     value.c_str());
-            const long k = parseLong(value.substr(0, slash), "shard");
-            const long n = parseLong(value.substr(slash + 1), "shard");
-            fatal_if(n < 1 || n > 1000000 || k < 0 || k >= n,
-                     "--shard=K/N needs 0 <= K < N, got '%s'",
-                     value.c_str());
-            config.shardIndex = static_cast<int>(k);
-            config.shardCount = static_cast<int>(n);
-        } else if (flagValue(arg, "checkpoint-every", value)) {
-            const long every = parseLong(value, "checkpoint-every");
-            fatal_if(every < 0 || every > 100000000,
-                     "--checkpoint-every must be in [0, 1e8]");
-            config.checkpointEvery = static_cast<int>(every);
-        } else if (flagValue(arg, "trace-cache-cap", value)) {
-            const long cap = parseLong(value, "trace-cache-cap");
-            fatal_if(cap < 0, "--trace-cache-cap must be >= 0");
-            config.traceCacheCap = static_cast<size_t>(cap);
-        } else if (arg == "--eval-population") {
-            config.seedMode = SeedMode::Evaluation;
+        } else if (obs.consume(arg) || flags.consume(arg)) {
+            // observability and sweep flags (shared across verbs)
         } else if (flagValue(arg, "population", value)) {
             population_ref = value;
-        } else if (flagValue(arg, "corpus", value)) {
-            corpus_dir = value;
-        } else if (flagValue(arg, "schedulers", value)) {
-            config.schedulers = parseSchedulerList(value);
-        } else if (flagValue(arg, "apps", value)) {
-            config.apps = parseAppList(value);
-        } else if (flagValue(arg, "devices", value)) {
-            config.devices = parseDeviceList(value);
-        } else if (flagValue(arg, "users", value)) {
-            const long users = parseLong(value, "users");
-            fatal_if(users < 1 || users > 100000000,
-                     "--users must be in [1, 1e8]");
-            config.users = static_cast<int>(users);
-        } else if (flagValue(arg, "threads", value)) {
-            const long threads = parseLong(value, "threads");
-            fatal_if(threads < 1 || threads > 4096,
-                     "--threads must be in [1, 4096]");
-            config.threads = static_cast<int>(threads);
-        } else if (flagValue(arg, "seed", value)) {
-            config.baseSeed = parseSeed(value);
-        } else if (flagValue(arg, "out", value)) {
-            out_path = value;
-        } else if (flagValue(arg, "csv", value)) {
-            csv_path = value;
         } else {
             std::cerr << "unknown option '" << arg << "'\n\n";
             usage();
             return 1;
         }
     }
-    fatal_if(config.users < 1 || config.users > 100000000,
-             "--users must be in [1, 1e8]");
-    fatal_if(config.threads < 1 || config.threads > 4096,
-             "--threads must be in [1, 4096]");
     obs.applyLogging(true);
+    flags.applyShard();
+    FleetConfig &config = flags.config;
+    const std::string &results_dir = flags.resultsDir;
 
     fatal_if(config.resume && results_dir.empty(),
              "--resume requires --results-dir");
@@ -1519,9 +1487,9 @@ main(int argc, char **argv)
 
     // Corpus replay: same axes and seeds, traces read from disk.
     std::optional<CorpusStore> corpus;
-    if (!corpus_dir.empty()) {
+    if (!flags.corpusDir.empty()) {
         std::string error;
-        corpus = CorpusStore::open(corpus_dir, &error);
+        corpus = CorpusStore::open(flags.corpusDir, &error);
         fatal_if(!corpus, "cannot open corpus: %s", error.c_str());
         config.corpus = &*corpus;
     }
@@ -1557,9 +1525,9 @@ main(int argc, char **argv)
                   << cfg.devices.size() << " devices x " << cfg.users
                   << " users = " << runner.jobs().size()
                   << " sessions on " << cfg.threads << " threads\n";
-        if (cfg.shardCount > 1) {
-            std::cout << "shard " << cfg.shardIndex << "/"
-                      << cfg.shardCount << "\n";
+        if (flags.sharded()) {
+            std::cout << "shard " << flags.shardIndex << "/"
+                      << flags.shardCount << "\n";
         }
         const bool needs_pes = [&] {
             for (const SchedulerKind k : cfg.schedulers)
@@ -1594,7 +1562,7 @@ main(int argc, char **argv)
     }
     table.print(std::cout);
 
-    writeReports(report, out_path, csv_path);
+    writeReports(report, flags.outPath, flags.csvPath);
     if (obs.wantsTelemetry() && !obs.telemetryOut.empty())
         writeTelemetryFile(makeRunTelemetry(cfg, outcome),
                            obs.telemetryOut);
