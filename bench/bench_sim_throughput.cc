@@ -1,22 +1,29 @@
 /**
  * @file
  * Simulator throughput bench: sessions/sec and events/sec measured
- * through the telemetry subsystem, recorded as a perf-history sample.
+ * through the telemetry subsystem, recorded as perf-history samples.
  *
- * Runs one fleet sweep at several thread counts with an armed
+ * Runs two fleet sweeps, each at several thread counts with an armed
  * TelemetryRegistry, keeping EVERY replicate (the replicate spread is
  * what the perf-history gate estimates noise from), and reports the
  * rates straight from the RunTelemetry summary — the same numbers
  * `pes_fleet run --telemetry-out` emits, so the bench also exercises
- * that pipeline end to end. It asserts the telemetry-armed report is
- * byte-identical to an uninstrumented run (the no-feedback contract),
- * then APPENDS one PerfSample line (label "bench_sim") to
- * BENCH_sim.json in the perf-history JSONL schema — the committed file
- * is the throughput ledger of ROADMAP item 3, replayable with
- * `pes_perf report --history=BENCH_sim.json` and gateable with
- * `pes_perf gate`. Its numbers vary machine to machine (the sample
- * carries a machine fingerprint so foreign samples never gate against
- * each other).
+ * that pipeline end to end:
+ *
+ *   bench_sim          interactive,ondemand,ebs: the model-free event
+ *                      loop alone;
+ *   bench_sim_default  pes,ebs, the default sweep: adds the predictor
+ *                      and the schedule solver, so a solver regression
+ *                      cannot pass the gate unseen.
+ *
+ * Each sweep asserts its telemetry-armed report is byte-identical to an
+ * uninstrumented run (the no-feedback contract), then APPENDS one
+ * PerfSample line under its label to BENCH_sim.json in the perf-history
+ * JSONL schema — the committed file is the throughput ledger, replayable
+ * with `pes_perf report --history=BENCH_sim.json` and gateable per label
+ * with `pes_perf gate --label=...`. Its numbers vary machine to machine
+ * (the sample carries a machine fingerprint so foreign samples never
+ * gate against each other).
  */
 
 #include <algorithm>
@@ -40,15 +47,19 @@ namespace {
 
 constexpr int kRepetitions = 3;
 
+/** One labelled sweep: a ledger label and the schedulers it runs. */
+struct BenchSweep
+{
+    const char *label;
+    std::vector<SchedulerKind> schedulers;
+};
+
 FleetConfig
-sweepConfig()
+sweepConfig(const BenchSweep &sweep)
 {
     FleetConfig config;
     config.apps = parseAppList("cnn,amazon,social_feed");
-    // Model-free schedulers: this bench tracks raw simulator event-loop
-    // speed, not training or solver time.
-    config.schedulers = {SchedulerKind::Interactive,
-                         SchedulerKind::Ondemand, SchedulerKind::Ebs};
+    config.schedulers = sweep.schedulers;
     config.users = 32;
     return config;
 }
@@ -74,44 +85,37 @@ measure(const FleetConfig &base, int threads)
     return replicates;
 }
 
-} // namespace
-
-int
-main()
+/** Report bytes of one run of @p base at t2, telemetry armed or not. */
+std::string
+reportBytes(const FleetConfig &base, bool armed)
 {
-    setQuiet(true);
-    benchHeader("Simulator throughput bench",
-                "fleet platform scaling (sessions/sec, events/sec)");
+    FleetConfig config = base;
+    config.threads = 2;
+    TelemetryRegistry telemetry;
+    if (armed)
+        config.telemetry = &telemetry;
+    FleetRunner runner(std::move(config));
+    const FleetOutcome outcome = runner.run();
+    return JsonReporter::toString(
+        makeFleetReport(runner.config(), outcome.metrics));
+}
 
-    const FleetConfig base = sweepConfig();
-    std::cout << base.jobCount() << " sessions per sweep ("
-              << base.apps.size() << " apps x " << base.schedulers.size()
-              << " schedulers x " << base.users << " users), "
-              << kRepetitions << " replicates per thread count\n\n";
+/** Measure @p sweep, print its table and append its ledger sample. */
+void
+benchSweep(const BenchSweep &sweep)
+{
+    const FleetConfig base = sweepConfig(sweep);
+    std::cout << sweep.label << ": " << base.jobCount()
+              << " sessions per sweep (" << base.apps.size()
+              << " apps x " << base.schedulers.size() << " schedulers x "
+              << base.users << " users), " << kRepetitions
+              << " replicates per thread count\n\n";
 
     // No-feedback check: the telemetry-armed report must match an
     // uninstrumented run byte for byte.
-    std::string armed_bytes, plain_bytes;
-    {
-        FleetConfig config = base;
-        config.threads = 2;
-        TelemetryRegistry telemetry;
-        config.telemetry = &telemetry;
-        FleetRunner runner(std::move(config));
-        const FleetOutcome outcome = runner.run();
-        armed_bytes = JsonReporter::toString(
-            makeFleetReport(runner.config(), outcome.metrics));
-    }
-    {
-        FleetConfig config = base;
-        config.threads = 2;
-        FleetRunner runner(std::move(config));
-        const FleetOutcome outcome = runner.run();
-        plain_bytes = JsonReporter::toString(
-            makeFleetReport(runner.config(), outcome.metrics));
-    }
-    fatal_if(armed_bytes != plain_bytes,
-             "telemetry-armed report diverged from uninstrumented run");
+    fatal_if(reportBytes(base, true) != reportBytes(base, false),
+             "%s: telemetry-armed report diverged from uninstrumented "
+             "run", sweep.label);
 
     // Thread counts above the machine's core count measure scheduler
     // thrash, not simulator speed: the "t4" numbers a 2-core box
@@ -138,7 +142,7 @@ main()
     // Assemble the perf-history sample: replicate metric vectors per
     // thread point, plus derived parallel efficiency from the t1 mean.
     PerfSample sample;
-    sample.label = "bench_sim";
+    sample.label = sweep.label;
     if (const char *env = std::getenv("PES_GIT_REV"))
         sample.rev = env;
     sample.machine = machineFingerprint();
@@ -200,7 +204,26 @@ main()
     std::string error;
     fatal_if(!appendPerfSample("BENCH_sim.json", sample, &error), "%s",
              error.c_str());
-    std::cout << "[perf-history sample appended: BENCH_sim.json (rev "
-              << sample.rev << ", machine " << sample.machine << ")]\n";
+    std::cout << "[perf-history sample appended: BENCH_sim.json (label "
+              << sample.label << ", rev " << sample.rev << ", machine "
+              << sample.machine << ")]\n\n";
+}
+
+} // namespace
+
+int
+main()
+{
+    setQuiet(true);
+    benchHeader("Simulator throughput bench",
+                "fleet platform scaling (sessions/sec, events/sec)");
+    const BenchSweep sweeps[] = {
+        {"bench_sim",
+         {SchedulerKind::Interactive, SchedulerKind::Ondemand,
+          SchedulerKind::Ebs}},
+        {"bench_sim_default", {SchedulerKind::Pes, SchedulerKind::Ebs}},
+    };
+    for (const BenchSweep &sweep : sweeps)
+        benchSweep(sweep);
     return 0;
 }

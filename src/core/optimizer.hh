@@ -5,7 +5,7 @@
  * Translates a window of events — outstanding plus predicted — into the
  * Eqn. 2-5 scheduling problem (per-configuration latency from the Eqn.-1
  * estimate, per-configuration energy from the power table, chained
- * deadlines) and solves it with the specialized exact solver. Deadline
+ * deadlines) and solves it with the specialized Pareto-DP solver. Deadline
  * construction:
  *
  *   outstanding event: the last VSync at or before (arrival + QoS),
@@ -67,7 +67,10 @@ class GlobalOptimizer
                                  const std::vector<PlanEventSpec> &events)
         const;
 
-    /** Solve (exact DP); see ParetoDpSolver for the objective. */
+    /**
+     * Solve with the Pareto DP; see ParetoDpSolver for the objective and
+     * for when the result is exact (ScheduleSolution::thinnedBuckets).
+     */
     ScheduleSolution solve(const ScheduleProblem &problem) const;
 
     /** Convenience: buildProblem + solve. */
@@ -80,6 +83,9 @@ class GlobalOptimizer
     const PowerModel *power_;
     const VsyncClock *vsync_;
     double margin_ = 1.0;
+    /** switchCost_[a][b]: platform switch cost from config a to b. */
+    std::vector<std::vector<TimeMs>> switchCost_;
+    /** Owns the solve buffers, so one optimizer serves one thread. */
     ParetoDpSolver solver_;
 };
 

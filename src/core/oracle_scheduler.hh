@@ -8,8 +8,12 @@
  * global Eqn. 2-5 problem once over the whole trace with true deadlines
  * (arrival + QoS, VSync-floored) and executes every event back-to-back
  * from t = 0 as "speculation" that always commits: an infinite prediction
- * degree with perfect accuracy. By construction it maximizes energy
- * savings and (on oracle-feasible traces) incurs zero QoS violations.
+ * degree with perfect accuracy. Its plan is the minimum-energy schedule
+ * only while no solver frontier bucket exceeds
+ * ParetoDpSolver::kMaxBucketStates; whole-trace chains often exceed it,
+ * and the index-thinned plan is then a heuristic (no optimality gap is
+ * reported yet). On oracle-feasible traces it incurs zero QoS
+ * violations.
  */
 
 #ifndef PES_CORE_ORACLE_SCHEDULER_HH

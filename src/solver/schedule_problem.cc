@@ -11,8 +11,12 @@ namespace pes {
 IntegerProgram
 ScheduleProblem::toIlp() const
 {
-    panic_if(!switchCost.empty(),
-             "toIlp: switch costs are not expressible in the Eqn. 5 ILP");
+    for (const std::vector<TimeMs> &row : switchCost) {
+        panic_if(std::any_of(row.begin(), row.end(),
+                             [](TimeMs cost) { return cost != 0.0; }),
+                 "toIlp: switch costs are not expressible in the Eqn. 5 "
+                 "ILP");
+    }
     const int n = static_cast<int>(events.size());
     const int c = numConfigs();
     panic_if(n == 0, "toIlp: empty problem");
@@ -64,72 +68,9 @@ namespace {
  * Weight folding tardiness and energy into one scalar cost. Any positive
  * tardiness above ~1e-6 ms outweighs every achievable energy total, which
  * realizes the lexicographic (tardiness, energy) objective; on feasible
- * instances (tardiness 0) the cost *is* the energy, so the DP stays exact
- * for the Eqn. 5 optimum.
+ * instances (tardiness 0) the cost *is* the energy.
  */
 constexpr double kTardinessWeight = 1e12;
-
-/** One Pareto state after scheduling a prefix of events. */
-struct DpState
-{
-    TimeMs finish = 0.0;
-    TimeMs tardiness = 0.0;
-    EnergyMj energy = 0.0;
-    /** Configuration of the last scheduled event. */
-    int lastConfig = 0;
-    /** Index into the previous stage's state vector (for reconstruction) */
-    int parent = -1;
-    /** Config chosen at this stage. */
-    int chosen = -1;
-
-    double cost() const
-    {
-        return tardiness * kTardinessWeight + energy;
-    }
-};
-
-/** Hard cap on frontier states kept per lastConfig bucket. */
-constexpr size_t kMaxBucketStates = 256;
-
-/**
- * Keep the (finish, cost) Pareto frontier of one bucket: after sorting by
- * finish, a state survives only when its cost strictly beats every
- * earlier-finishing survivor. O(n log n).
- */
-void
-pruneBucket(std::vector<DpState> &states)
-{
-    std::sort(states.begin(), states.end(),
-              [](const DpState &a, const DpState &b) {
-                  if (a.finish != b.finish)
-                      return a.finish < b.finish;
-                  return a.cost() < b.cost();
-              });
-    std::vector<DpState> kept;
-    double min_cost = std::numeric_limits<double>::infinity();
-    for (const DpState &s : states) {
-        const double c = s.cost();
-        if (c < min_cost - 1e-12) {
-            kept.push_back(s);
-            min_cost = c;
-        }
-    }
-    // Bound the frontier (defensive; real instances stay far below the
-    // cap). Thinning keeps the cheapest and fastest extremes.
-    if (kept.size() > kMaxBucketStates) {
-        std::vector<DpState> thinned;
-        thinned.reserve(kMaxBucketStates);
-        const double step = static_cast<double>(kept.size() - 1) /
-            static_cast<double>(kMaxBucketStates - 1);
-        for (size_t i = 0; i < kMaxBucketStates; ++i) {
-            thinned.push_back(
-                kept[static_cast<size_t>(std::round(step *
-                                                    static_cast<double>(i)))]);
-        }
-        kept = std::move(thinned);
-    }
-    states = std::move(kept);
-}
 
 } // namespace
 
@@ -143,75 +84,124 @@ ParetoDpSolver::solve(const ScheduleProblem &problem) const
         return solution;
     }
     const int c = problem.numConfigs();
+    const size_t configs = static_cast<size_t>(c);
     panic_if(c == 0, "ParetoDpSolver: no configurations");
+    panic_if(problem.initialConfig < 0 || problem.initialConfig >= c,
+             "ParetoDpSolver: initial config %d out of range",
+             problem.initialConfig);
     const bool use_switch = !problem.switchCost.empty();
+    panic_if(use_switch && problem.switchCost.size() != configs,
+             "ParetoDpSolver: switch-cost matrix is not %d x %d", c, c);
 
-    // stages[i] holds the surviving states after scheduling event i.
-    std::vector<std::vector<DpState>> stages(static_cast<size_t>(n));
+    std::vector<DpState> &states = work_.states;
+    std::vector<size_t> &stage_begin = work_.stageBegin;
+    std::vector<Candidate> &bucket = work_.bucket;
+    std::vector<TimeMs> &switch_into = work_.switchInto;
+    states.clear();
+    stage_begin.clear();
+    switch_into.assign(configs, 0.0);
 
-    DpState init;
-    init.lastConfig = problem.initialConfig;
-    std::vector<DpState> frontier{init};
+    DpState start;
+    start.lastConfig = problem.initialConfig;
+    states.push_back(start);
+    stage_begin.push_back(0);
 
     for (int i = 0; i < n; ++i) {
         const ScheduleEvent &ev = problem.events[static_cast<size_t>(i)];
-        panic_if(static_cast<int>(ev.latency.size()) != c ||
-                 static_cast<int>(ev.energy.size()) != c,
+        panic_if(ev.latency.size() != configs || ev.energy.size() != configs,
                  "ParetoDpSolver: ragged event table at %d", i);
 
-        std::vector<DpState> next;
-        next.reserve(frontier.size() * static_cast<size_t>(c));
-        for (size_t s = 0; s < frontier.size(); ++s) {
-            const DpState &prev = frontier[s];
-            for (int j = 0; j < c; ++j) {
-                TimeMs lat = ev.latency[static_cast<size_t>(j)];
-                if (use_switch) {
-                    lat += problem.switchCost
-                        [static_cast<size_t>(prev.lastConfig)]
-                        [static_cast<size_t>(j)];
+        const size_t from = stage_begin.back();
+        const size_t parents = states.size() - from;
+        stage_begin.push_back(states.size());
+        // Each bucket keeps at most min(parents, cap) states. Growing
+        // here, before any survivor is appended, keeps `prev` valid for
+        // the whole stage.
+        const size_t need = states.size() +
+            configs * std::min(parents, kMaxBucketStates);
+        if (states.capacity() < need)
+            states.reserve(std::max(need, 2 * states.capacity()));
+        const DpState *prev = states.data() + from;
+        bucket.resize(parents);
+
+        // Bucket j holds every parent extended by config j, in ascending
+        // parent order: the sequence a filter over the whole stage would
+        // hand std::sort, so the sort breaks exact (finish, cost) ties
+        // the same way and the chosen schedules never change.
+        for (size_t j = 0; j < configs; ++j) {
+            if (use_switch) {
+                for (size_t a = 0; a < configs; ++a)
+                    switch_into[a] = problem.switchCost[a][j];
+            }
+            const TimeMs latency = ev.latency[j];
+            const EnergyMj energy = ev.energy[j];
+            for (size_t s = 0; s < parents; ++s) {
+                const DpState &p = prev[s];
+                const TimeMs finish = p.finish +
+                    (latency +
+                     switch_into[static_cast<size_t>(p.lastConfig)]);
+                const TimeMs tardiness = p.tardiness +
+                    std::max(0.0, finish - ev.deadline);
+                bucket[s] = {finish,
+                             tardiness * kTardinessWeight +
+                                 (p.energy + energy),
+                             static_cast<int>(s)};
+            }
+            std::sort(bucket.begin(), bucket.end(),
+                      [](const Candidate &a, const Candidate &b) {
+                          if (a.finish != b.finish)
+                              return a.finish < b.finish;
+                          return a.cost < b.cost;
+                      });
+
+            // (finish, cost) Pareto frontier: after the sort, a
+            // candidate survives only when its cost strictly beats every
+            // earlier-finishing survivor. Compacted in place.
+            size_t kept = 0;
+            double min_cost = std::numeric_limits<double>::infinity();
+            for (size_t k = 0; k < parents; ++k) {
+                if (bucket[k].cost < min_cost - 1e-12) {
+                    min_cost = bucket[k].cost;
+                    bucket[kept++] = bucket[k];
                 }
+            }
+            // Cap the frontier by index-thinning, which keeps the
+            // cheapest and fastest extremes but can drop the optimum.
+            // Source indices rise at least as fast as targets, so the
+            // in-place copy never reads a slot it already overwrote.
+            if (kept > kMaxBucketStates) {
+                const double step = static_cast<double>(kept - 1) /
+                    static_cast<double>(kMaxBucketStates - 1);
+                for (size_t k = 0; k < kMaxBucketStates; ++k) {
+                    bucket[k] = bucket[static_cast<size_t>(
+                        std::round(step * static_cast<double>(k)))];
+                }
+                kept = kMaxBucketStates;
+                ++solution.thinnedBuckets;
+            }
+
+            for (size_t k = 0; k < kept; ++k) {
+                const Candidate &cand = bucket[k];
+                const DpState &p = prev[static_cast<size_t>(cand.parent)];
                 DpState st;
-                st.finish = prev.finish + lat;
-                st.energy = prev.energy +
-                    ev.energy[static_cast<size_t>(j)];
-                st.tardiness = prev.tardiness +
-                    std::max(0.0, st.finish - ev.deadline);
-                st.lastConfig = j;
-                st.parent = static_cast<int>(s);
-                st.chosen = j;
-                next.push_back(st);
+                st.finish = cand.finish;
+                st.tardiness = p.tardiness +
+                    std::max(0.0, cand.finish - ev.deadline);
+                st.energy = p.energy + energy;
+                st.lastConfig = static_cast<int>(j);
+                st.parent = cand.parent;
+                states.push_back(st);
             }
         }
-
-        if (use_switch) {
-            // Prune per lastConfig bucket (the config is part of the
-            // state and affects future switch costs).
-            std::vector<DpState> pruned;
-            for (int j = 0; j < c; ++j) {
-                std::vector<DpState> bucket;
-                for (const DpState &st : next) {
-                    if (st.lastConfig == j)
-                        bucket.push_back(st);
-                }
-                pruneBucket(bucket);
-                pruned.insert(pruned.end(), bucket.begin(), bucket.end());
-            }
-            next = std::move(pruned);
-        } else {
-            pruneBucket(next);
-        }
-
-        stages[static_cast<size_t>(i)] = next;
-        frontier = std::move(next);
     }
 
     // Pick the lexicographic (tardiness, energy) best final state.
-    const std::vector<DpState> &finals = stages[static_cast<size_t>(n - 1)];
-    panic_if(finals.empty(), "ParetoDpSolver: lost all states");
-    size_t best = 0;
-    for (size_t s = 1; s < finals.size(); ++s) {
-        const DpState &a = finals[s];
-        const DpState &b = finals[best];
+    const size_t finals = stage_begin.back();
+    panic_if(finals == states.size(), "ParetoDpSolver: lost all states");
+    size_t best = finals;
+    for (size_t s = finals + 1; s < states.size(); ++s) {
+        const DpState &a = states[s];
+        const DpState &b = states[best];
         if (a.tardiness < b.tardiness - 1e-12 ||
             (std::abs(a.tardiness - b.tardiness) <= 1e-12 &&
              a.energy < b.energy - 1e-12)) {
@@ -222,15 +212,15 @@ ParetoDpSolver::solve(const ScheduleProblem &problem) const
     // Reconstruct the assignment.
     solution.configOf.assign(static_cast<size_t>(n), 0);
     solution.finishTime.assign(static_cast<size_t>(n), 0.0);
-    int idx = static_cast<int>(best);
+    size_t idx = best;
     for (int i = n - 1; i >= 0; --i) {
-        const DpState &st = stages[static_cast<size_t>(i)]
-                                  [static_cast<size_t>(idx)];
-        solution.configOf[static_cast<size_t>(i)] = st.chosen;
+        const DpState &st = states[idx];
+        solution.configOf[static_cast<size_t>(i)] = st.lastConfig;
         solution.finishTime[static_cast<size_t>(i)] = st.finish;
-        idx = st.parent;
+        idx = stage_begin[static_cast<size_t>(i)] +
+            static_cast<size_t>(st.parent);
     }
-    const DpState &chosen = finals[best];
+    const DpState &chosen = states[best];
     solution.totalEnergy = chosen.energy;
     solution.totalTardiness = chosen.tardiness;
     solution.feasible = chosen.tardiness <= 1e-9;

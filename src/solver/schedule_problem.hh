@@ -1,15 +1,18 @@
 /**
  * @file
- * The PES scheduling formulation and its custom exact solver.
+ * The PES scheduling formulation and its custom solver.
  *
  * Paper Sec. 5.3 (Eqns. 2-5): pick exactly one ACMP configuration per
  * event so that the chain of event executions meets every event's deadline
  * while the total energy  sum_i p(i) * dt(i)  is minimized. The paper
  * implements "our own solver customized to this particular formulation" —
  * this file is that solver: a dynamic program over Pareto-optimal
- * (finish time, tardiness, energy) states per event, exact for the chain
- * structure, with an optional last-configuration state dimension that
- * accounts for DVFS-switch and migration costs.
+ * (finish time, tardiness, energy) states per event, bucketed by the
+ * configuration of the last event so that DVFS-switch and migration
+ * costs are charged exactly. Each bucket keeps at most
+ * ParetoDpSolver::kMaxBucketStates states; the result is exact only
+ * while no bucket exceeds that cap (ScheduleSolution::thinnedBuckets
+ * counts the buckets that did).
  *
  * When no assignment can meet all deadlines (e.g. an inherently heavy
  * Type I event with an immediate conservative deadline), the solver
@@ -22,6 +25,7 @@
 #ifndef PES_SOLVER_SCHEDULE_PROBLEM_HH
 #define PES_SOLVER_SCHEDULE_PROBLEM_HH
 
+#include <cstddef>
 #include <vector>
 
 #include "solver/ilp.hh"
@@ -52,10 +56,10 @@ struct ScheduleProblem
     /**
      * Optional switch-cost matrix: switchCost[a][b] is added to the
      * latency when an event runs on configuration b after configuration a.
-     * Empty = no switch costs (the Eqn. 5 formulation).
+     * Empty = all switch costs zero (the Eqn. 5 formulation).
      */
     std::vector<std::vector<TimeMs>> switchCost;
-    /** Configuration active before the first event (with switch costs). */
+    /** Configuration active before the first event. */
     int initialConfig = 0;
 
     /** Number of configurations (from the first event). */
@@ -66,8 +70,8 @@ struct ScheduleProblem
     }
 
     /**
-     * Emit the paper's ILP (Eqn. 5). Requires empty switchCost (switch
-     * costs make the objective non-linear in tau).
+     * Emit the paper's ILP (Eqn. 5). Requires every switch cost to be
+     * zero (switch costs make the constraints non-linear in tau).
      */
     IntegerProgram toIlp() const;
 };
@@ -87,20 +91,72 @@ struct ScheduleSolution
     TimeMs totalTardiness = 0.0;
     /** Finish time of each event, relative to chain start. */
     std::vector<TimeMs> finishTime;
+    /**
+     * Buckets whose Pareto frontier exceeded
+     * ParetoDpSolver::kMaxBucketStates and was index-thinned during this
+     * solve. 0 means the solution is the exact optimum.
+     */
+    int thinnedBuckets = 0;
 };
 
 /**
- * Exact Pareto-frontier dynamic program for ScheduleProblem.
+ * Pareto-frontier dynamic program for ScheduleProblem.
+ *
+ * The stage and candidate buffers live in the instance and are reused by
+ * every solve, so one instance must not solve on two threads at once;
+ * give each worker its own (each GlobalOptimizer owns one).
  */
 class ParetoDpSolver
 {
   public:
+    /** Frontier states kept per last-configuration bucket. */
+    static constexpr size_t kMaxBucketStates = 256;
+
     /**
-     * Solve the chain problem exactly. Objective is lexicographic
-     * (total tardiness, total energy); feasible instances therefore get
-     * the minimum-energy deadline-meeting assignment (the Eqn. 5 optimum).
+     * Solve the chain problem. Objective is lexicographic (total
+     * tardiness, total energy); when no bucket was thinned
+     * (thinnedBuckets == 0), feasible instances get the minimum-energy
+     * deadline-meeting assignment (the Eqn. 5 optimum).
      */
     ScheduleSolution solve(const ScheduleProblem &problem) const;
+
+  private:
+    /** One Pareto state after scheduling a prefix of events. */
+    struct DpState
+    {
+        TimeMs finish = 0.0;
+        TimeMs tardiness = 0.0;
+        EnergyMj energy = 0.0;
+        /** Configuration of the last scheduled event (its bucket). */
+        int lastConfig = 0;
+        /** Index of the parent within the previous stage. */
+        int parent = -1;
+    };
+
+    /** Sort key of one candidate of the bucket being built. */
+    struct Candidate
+    {
+        TimeMs finish;
+        /** tardiness * kTardinessWeight + energy, computed once. */
+        double cost;
+        /** Index of the parent within the previous stage. */
+        int parent;
+    };
+
+    /** Buffers reused across solves (capacity only; no state leaks). */
+    struct Workspace
+    {
+        /** Every stage's states back to back; stage 0 is the start. */
+        std::vector<DpState> states;
+        /** Offset of each stage in `states`. */
+        std::vector<size_t> stageBegin;
+        /** Candidates of the bucket being built, then its survivors. */
+        std::vector<Candidate> bucket;
+        /** Column of the switch-cost matrix into the bucket's config. */
+        std::vector<TimeMs> switchInto;
+    };
+
+    mutable Workspace work_;
 };
 
 } // namespace pes

@@ -7,13 +7,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
+#include "core/optimizer.hh"
+#include "hw/acmp.hh"
+#include "hw/dvfs_model.hh"
+#include "hw/power_model.hh"
 #include "solver/ilp.hh"
 #include "solver/lp.hh"
 #include "solver/schedule_problem.hh"
 #include "util/rng.hh"
+#include "web/vsync.hh"
 
 namespace pes {
 namespace {
@@ -152,6 +159,168 @@ TEST(Ilp, FractionalRelaxationRequiresBranching)
 
 // ------------------------------------------------------------ ParetoDP
 
+/**
+ * The solver as it was before the bucket-block stage loop, kept as the
+ * reference the production loop must reproduce bit for bit: per stage it
+ * builds every candidate, filters the whole stage once per last-config
+ * bucket, sorts each bucket's full states, prunes, thins to
+ * kMaxBucketStates and copies the stage. Switch-cost instances only.
+ */
+ScheduleSolution
+referenceSolve(const ScheduleProblem &problem)
+{
+    struct State
+    {
+        TimeMs finish = 0.0;
+        TimeMs tardiness = 0.0;
+        EnergyMj energy = 0.0;
+        int lastConfig = 0;
+        int parent = -1;
+        int chosen = -1;
+        double cost() const { return tardiness * 1e12 + energy; }
+    };
+    const auto prune = [](std::vector<State> &states) {
+        std::sort(states.begin(), states.end(),
+                  [](const State &a, const State &b) {
+                      if (a.finish != b.finish)
+                          return a.finish < b.finish;
+                      return a.cost() < b.cost();
+                  });
+        std::vector<State> kept;
+        double min_cost = std::numeric_limits<double>::infinity();
+        for (const State &s : states) {
+            if (s.cost() < min_cost - 1e-12) {
+                kept.push_back(s);
+                min_cost = s.cost();
+            }
+        }
+        const size_t cap = ParetoDpSolver::kMaxBucketStates;
+        if (kept.size() > cap) {
+            std::vector<State> thinned;
+            const double step = static_cast<double>(kept.size() - 1) /
+                static_cast<double>(cap - 1);
+            for (size_t i = 0; i < cap; ++i) {
+                thinned.push_back(kept[static_cast<size_t>(
+                    std::round(step * static_cast<double>(i)))]);
+            }
+            kept = std::move(thinned);
+        }
+        states = std::move(kept);
+    };
+
+    const int n = static_cast<int>(problem.events.size());
+    const int c = problem.numConfigs();
+    EXPECT_FALSE(problem.switchCost.empty());
+    std::vector<std::vector<State>> stages(static_cast<size_t>(n));
+    State init;
+    init.lastConfig = problem.initialConfig;
+    std::vector<State> frontier{init};
+    for (int i = 0; i < n; ++i) {
+        const ScheduleEvent &ev = problem.events[static_cast<size_t>(i)];
+        std::vector<State> next;
+        for (size_t s = 0; s < frontier.size(); ++s) {
+            for (int j = 0; j < c; ++j) {
+                const TimeMs lat = ev.latency[static_cast<size_t>(j)] +
+                    problem.switchCost[static_cast<size_t>(
+                        frontier[s].lastConfig)][static_cast<size_t>(j)];
+                State st;
+                st.finish = frontier[s].finish + lat;
+                st.energy = frontier[s].energy +
+                    ev.energy[static_cast<size_t>(j)];
+                st.tardiness = frontier[s].tardiness +
+                    std::max(0.0, st.finish - ev.deadline);
+                st.lastConfig = j;
+                st.parent = static_cast<int>(s);
+                st.chosen = j;
+                next.push_back(st);
+            }
+        }
+        std::vector<State> pruned;
+        for (int j = 0; j < c; ++j) {
+            std::vector<State> bucket;
+            for (const State &st : next) {
+                if (st.lastConfig == j)
+                    bucket.push_back(st);
+            }
+            prune(bucket);
+            pruned.insert(pruned.end(), bucket.begin(), bucket.end());
+        }
+        stages[static_cast<size_t>(i)] = pruned;
+        frontier = std::move(pruned);
+    }
+
+    const std::vector<State> &finals = stages.back();
+    size_t best = 0;
+    for (size_t s = 1; s < finals.size(); ++s) {
+        const State &a = finals[s];
+        const State &b = finals[best];
+        if (a.tardiness < b.tardiness - 1e-12 ||
+            (std::abs(a.tardiness - b.tardiness) <= 1e-12 &&
+             a.energy < b.energy - 1e-12)) {
+            best = s;
+        }
+    }
+    ScheduleSolution solution;
+    solution.configOf.assign(static_cast<size_t>(n), 0);
+    solution.finishTime.assign(static_cast<size_t>(n), 0.0);
+    int idx = static_cast<int>(best);
+    for (int i = n - 1; i >= 0; --i) {
+        const State &st =
+            stages[static_cast<size_t>(i)][static_cast<size_t>(idx)];
+        solution.configOf[static_cast<size_t>(i)] = st.chosen;
+        solution.finishTime[static_cast<size_t>(i)] = st.finish;
+        idx = st.parent;
+    }
+    solution.totalEnergy = finals[best].energy;
+    solution.totalTardiness = finals[best].tardiness;
+    solution.feasible = finals[best].tardiness <= 1e-9;
+    return solution;
+}
+
+/**
+ * A production-shaped chain: GlobalOptimizer::buildProblem over the
+ * exynos5410 tables (17 configs, the platform switch-cost matrix,
+ * VSync-floored deadlines) for @p events outstanding events whose
+ * arrivals are up to @p max_gap ms apart: below ~60 ms deadlines are
+ * missed, above it they bind loosely and the frontier grows past the
+ * cap. Configs 2 and 9 copy configs 1 and 8, which forces
+ * exact (finish, cost) ties between states reached through either.
+ */
+ScheduleProblem
+productionShapedProblem(uint64_t seed, int events, TimeMs max_gap)
+{
+    const AcmpPlatform soc = AcmpPlatform::exynos5410();
+    const PowerModel power(soc);
+    const DvfsLatencyModel model(soc);
+    const VsyncClock vsync;
+    const GlobalOptimizer optimizer(model, power, vsync);
+    Rng rng(seed);
+    std::vector<PlanEventSpec> specs(static_cast<size_t>(events));
+    TimeMs arrival = 0.0;
+    for (PlanEventSpec &spec : specs) {
+        spec.work = {rng.uniform(0.5, 6.0), rng.uniform(10.0, 120.0)};
+        spec.qosTarget = rng.uniform(0.0, 1.0) < 0.3 ? 100.0 : 300.0;
+        spec.arrival = arrival;
+        arrival += rng.uniform(5.0, max_gap);
+    }
+    ScheduleProblem problem =
+        optimizer.buildProblem(0.0, soc.minConfig(), specs);
+    for (ScheduleEvent &ev : problem.events) {
+        ev.latency[2] = ev.latency[1];
+        ev.energy[2] = ev.energy[1];
+        ev.latency[9] = ev.latency[8];
+        ev.energy[9] = ev.energy[8];
+    }
+    return problem;
+}
+
+bool
+bitwiseEqual(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+
 /** Build a simple two-config problem for hand-checks. */
 ScheduleProblem
 twoConfigProblem()
@@ -269,9 +438,11 @@ class DpIlpEquivalence : public ::testing::TestWithParam<int>
 {
 };
 
-TEST_P(DpIlpEquivalence, SameOptimalEnergy)
+/** A random small Eqn.-5 instance whose deadlines are always feasible. */
+ScheduleProblem
+randomEqn5Problem(int seed)
 {
-    Rng rng(static_cast<uint64_t>(GetParam()) * 7919 + 13);
+    Rng rng(static_cast<uint64_t>(seed) * 7919 + 13);
     const int n = rng.uniformInt(2, 5);
     const int c = rng.uniformInt(2, 4);
 
@@ -292,14 +463,39 @@ TEST_P(DpIlpEquivalence, SameOptimalEnergy)
         ev.deadline = chain_min * rng.uniform(1.05, 2.5);
         problem.events.push_back(ev);
     }
+    return problem;
+}
 
+TEST_P(DpIlpEquivalence, SameOptimalEnergy)
+{
+    const ScheduleProblem problem = randomEqn5Problem(GetParam());
     const ScheduleSolution dp = ParetoDpSolver().solve(problem);
     ASSERT_TRUE(dp.feasible);
+    EXPECT_EQ(dp.thinnedBuckets, 0);
 
     IntegerProgram ilp = problem.toIlp();
     const IlpResult reference = ilp.solve();
     ASSERT_EQ(reference.status, IlpStatus::Optimal);
 
+    EXPECT_NEAR(dp.totalEnergy, reference.objective, 1e-6)
+        << "DP and branch-and-bound disagree on instance "
+        << GetParam();
+}
+
+TEST_P(DpIlpEquivalence, ZeroSwitchMatrixSameOptimalEnergy)
+{
+    // An explicit all-zero matrix is the Eqn. 5 formulation too; the DP
+    // must reach the ILP optimum from any initial config.
+    ScheduleProblem problem = randomEqn5Problem(GetParam());
+    const size_t c = static_cast<size_t>(problem.numConfigs());
+    problem.switchCost.assign(c, std::vector<TimeMs>(c, 0.0));
+    problem.initialConfig = GetParam() % problem.numConfigs();
+    const ScheduleSolution dp = ParetoDpSolver().solve(problem);
+    ASSERT_TRUE(dp.feasible);
+    EXPECT_EQ(dp.thinnedBuckets, 0);
+
+    const IlpResult reference = problem.toIlp().solve();
+    ASSERT_EQ(reference.status, IlpStatus::Optimal);
     EXPECT_NEAR(dp.totalEnergy, reference.objective, 1e-6)
         << "DP and branch-and-bound disagree on instance "
         << GetParam();
@@ -331,6 +527,7 @@ TEST_P(DpFeasibilityCheck, ReportedScheduleIsConsistent)
     }
 
     const ScheduleSolution sol = ParetoDpSolver().solve(problem);
+    EXPECT_EQ(sol.thinnedBuckets, 0);
     // Recompute the chain from the reported configs.
     double t = 0.0;
     double energy = 0.0;
@@ -358,6 +555,82 @@ TEST(ScheduleProblem, ToIlpRejectsSwitchCosts)
     ScheduleProblem problem = twoConfigProblem();
     problem.switchCost = {{0.0, 1.0}, {1.0, 0.0}};
     EXPECT_DEATH((void)problem.toIlp(), "switch costs");
+}
+
+// ------------------ production loop == reference loop (property) --------
+
+/**
+ * Production-shaped instances, some wide enough that the cap fires: the
+ * bucket-block stage loop must pick the same schedule as the reference,
+ * bit for bit, including which of several exactly tied states survives.
+ */
+class DpMatchesReference : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(DpMatchesReference, BitwiseIdenticalSchedule)
+{
+    const ScheduleProblem problem = productionShapedProblem(
+        static_cast<uint64_t>(GetParam()) * 6151 + 3, 30 + GetParam() % 7,
+        30.0 + 10.0 * GetParam());
+    const ScheduleSolution got = ParetoDpSolver().solve(problem);
+    const ScheduleSolution want = referenceSolve(problem);
+
+    EXPECT_EQ(got.configOf, want.configOf);
+    ASSERT_EQ(got.finishTime.size(), want.finishTime.size());
+    for (size_t i = 0; i < got.finishTime.size(); ++i) {
+        EXPECT_TRUE(bitwiseEqual(got.finishTime[i], want.finishTime[i]))
+            << "event " << i;
+    }
+    EXPECT_TRUE(bitwiseEqual(got.totalEnergy, want.totalEnergy));
+    EXPECT_TRUE(bitwiseEqual(got.totalTardiness, want.totalTardiness));
+    EXPECT_EQ(got.feasible, want.feasible);
+    EXPECT_GT(got.thinnedBuckets, 0) << "instance no longer hits the cap";
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomInstances, DpMatchesReference,
+                         ::testing::Range(0, 12));
+
+TEST(ParetoDp, ThinnedBucketsCountsEveryCappedBucket)
+{
+    // Event i runs fast (1 ms, 2^i mJ) or slow (1 + 2^i ms, 0 mJ), with
+    // no deadlines: every one of the 2^n schedules has a distinct finish
+    // and finish + energy is constant, so all are Pareto-optimal. After
+    // event i each of the two last-config buckets holds 2^i states; the
+    // cap fires from 2^i > 256, i.e. on both buckets of events 9..11.
+    ScheduleProblem problem;
+    for (int i = 0; i < 12; ++i) {
+        ScheduleEvent ev;
+        const double weight = std::ldexp(1.0, i);
+        ev.latency = {1.0, 1.0 + weight};
+        ev.energy = {weight, 0.0};
+        ev.deadline = std::numeric_limits<double>::infinity();
+        problem.events.push_back(ev);
+    }
+    const ScheduleSolution sol = ParetoDpSolver().solve(problem);
+    EXPECT_EQ(sol.thinnedBuckets, 6);
+    EXPECT_TRUE(sol.feasible);
+
+    // Nine events stay at 256 states per bucket: exact, nothing thinned.
+    problem.events.resize(9);
+    EXPECT_EQ(ParetoDpSolver().solve(problem).thinnedBuckets, 0);
+}
+
+TEST(ParetoDp, ReusedSolverMatchesFreshSolver)
+{
+    // The stage buffers persist across solves; a wide solve followed by
+    // a narrow one must leave nothing behind.
+    const ParetoDpSolver reused;
+    const ScheduleProblem wide = productionShapedProblem(11, 30, 120.0);
+    const ScheduleProblem narrow = productionShapedProblem(5, 6, 40.0);
+    for (const ScheduleProblem *problem : {&wide, &narrow, &wide}) {
+        const ScheduleSolution got = reused.solve(*problem);
+        const ScheduleSolution want = ParetoDpSolver().solve(*problem);
+        EXPECT_EQ(got.configOf, want.configOf);
+        EXPECT_EQ(got.finishTime, want.finishTime);
+        EXPECT_TRUE(bitwiseEqual(got.totalEnergy, want.totalEnergy));
+        EXPECT_EQ(got.thinnedBuckets, want.thinnedBuckets);
+    }
 }
 
 } // namespace
