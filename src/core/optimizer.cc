@@ -9,15 +9,25 @@ GlobalOptimizer::GlobalOptimizer(const DvfsLatencyModel &model,
                                  const PowerModel &power,
                                  const VsyncClock &vsync,
                                  double latency_margin)
-    : model_(&model), power_(&power), vsync_(&vsync),
-      margin_(latency_margin)
+    : margin_(latency_margin)
 {
-    // The platform is fixed for the optimizer's lifetime, so every plan
-    // shares one switch-cost matrix.
+    rebind(model, power, vsync);
+}
+
+void
+GlobalOptimizer::rebind(const DvfsLatencyModel &model,
+                        const PowerModel &power, const VsyncClock &vsync)
+{
+    model_ = &model;
+    power_ = &power;
+    vsync_ = &vsync;
+    // The platform is fixed until the next rebind, so every plan shares
+    // one switch-cost matrix.
     const AcmpPlatform &platform = model_->platform();
     const size_t c = static_cast<size_t>(platform.numConfigs());
-    switchCost_.assign(c, std::vector<TimeMs>(c, 0.0));
+    switchCost_.resize(c);
     for (size_t a = 0; a < c; ++a) {
+        switchCost_[a].resize(c);
         for (size_t b = 0; b < c; ++b) {
             switchCost_[a][b] = platform.switchCost(
                 platform.configAt(static_cast<int>(a)),

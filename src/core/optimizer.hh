@@ -59,6 +59,14 @@ class GlobalOptimizer
                     const VsyncClock &vsync, double latency_margin = 1.0);
 
     /**
+     * Plan against another simulator's models from now on. The solver
+     * and its buffers are kept; the switch-cost matrix is rebuilt from
+     * @p model's platform.
+     */
+    void rebind(const DvfsLatencyModel &model, const PowerModel &power,
+                const VsyncClock &vsync);
+
+    /**
      * Build the Eqn. 2-5 problem for a chain starting at @p now on
      * @p current_config (switch costs included).
      */
@@ -79,9 +87,9 @@ class GlobalOptimizer
                  const std::vector<PlanEventSpec> &events) const;
 
   private:
-    const DvfsLatencyModel *model_;
-    const PowerModel *power_;
-    const VsyncClock *vsync_;
+    const DvfsLatencyModel *model_ = nullptr;
+    const PowerModel *power_ = nullptr;
+    const VsyncClock *vsync_ = nullptr;
     double margin_ = 1.0;
     /** switchCost_[a][b]: platform switch cost from config a to b. */
     std::vector<std::vector<TimeMs>> switchCost_;

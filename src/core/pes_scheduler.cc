@@ -29,10 +29,15 @@ PesScheduler::begin(SimulatorApi &api)
 {
     // predictor/optimizer bind to per-run simulator models; the EBS
     // policy (Eqn.-1 measurements) and the inter-arrival model persist
-    // across sessions like a warmed device.
+    // across sessions like a warmed device. The optimizer is rebound
+    // rather than rebuilt, so its solver buffers live as long as the
+    // driver (they carry capacity, never state).
     predictor_.emplace(model_, config_.predictor);
-    optimizer_.emplace(api.latencyModel(), api.powerModel(), api.vsync(),
-                       config_.latencyMargin);
+    if (optimizer_)
+        optimizer_->rebind(api.latencyModel(), api.powerModel(), api.vsync());
+    else
+        optimizer_.emplace(api.latencyModel(), api.powerModel(),
+                           api.vsync(), config_.latencyMargin);
     if (!ebs_) {
         ebs_.emplace(api.platform(), api.powerModel(),
                      config_.latencyMargin);

@@ -90,7 +90,7 @@ class PesScheduler : public SchedulerDriver
 
     bool resetFresh() override
     {
-        // begin() re-creates everything except the warm state: the EBS
+        // begin() resets everything except the warm state: the EBS
         // policy (Eqn.-1 measurements) and the inter-arrival EWMA model.
         ebs_.reset();
         ewmaGap_.fill(0.0);

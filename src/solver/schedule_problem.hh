@@ -9,8 +9,15 @@
  * this file is that solver: a dynamic program over Pareto-optimal
  * (finish time, tardiness, energy) states per event, bucketed by the
  * configuration of the last event so that DVFS-switch and migration
- * costs are charged exactly. Each bucket keeps at most
- * ParetoDpSolver::kMaxBucketStates states; the result is exact only
+ * costs are charged exactly.
+ *
+ * Candidates are ordered by a total order, (finish, cost, parent finish,
+ * parent cost, parent index), so the result never depends on how a sort
+ * breaks ties. Before extending, each stage drops parents that an earlier
+ * parent dominates in finish, tardiness and energy with a switch cost no
+ * higher; such a parent's candidate would be pruned anyway, so the
+ * result is exactly that of extending every parent. Each bucket keeps at
+ * most ParetoDpSolver::kMaxBucketStates states; the result is exact only
  * while no bucket exceeds that cap (ScheduleSolution::thinnedBuckets
  * counts the buckets that did).
  *
@@ -26,6 +33,7 @@
 #define PES_SOLVER_SCHEDULE_PROBLEM_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "solver/ilp.hh"
@@ -112,6 +120,9 @@ class ParetoDpSolver
     /** Frontier states kept per last-configuration bucket. */
     static constexpr size_t kMaxBucketStates = 256;
 
+    /** Most configurations a problem may have (group masks are 64-bit). */
+    static constexpr int kMaxConfigs = 64;
+
     /**
      * Solve the chain problem. Objective is lexicographic (total
      * tardiness, total energy); when no bucket was thinned
@@ -127,6 +138,8 @@ class ParetoDpSolver
         TimeMs finish = 0.0;
         TimeMs tardiness = 0.0;
         EnergyMj energy = 0.0;
+        /** tardiness * kTardinessWeight + energy. */
+        double cost = 0.0;
         /** Configuration of the last scheduled event (its bucket). */
         int lastConfig = 0;
         /** Index of the parent within the previous stage. */
@@ -139,8 +152,23 @@ class ParetoDpSolver
         TimeMs finish;
         /** tardiness * kTardinessWeight + energy, computed once. */
         double cost;
+        /**
+         * Position of the parent in the stage's (finish, cost, index)
+         * order: the last three keys of the total order in one int.
+         */
+        int rank;
         /** Index of the parent within the previous stage. */
         int parent;
+    };
+
+    /** Parents of one group that survived its dominance sweep. */
+    struct Group
+    {
+        /** Parent buckets in the group, one bit per configuration. */
+        uint64_t mask;
+        /** Range of the survivors in Workspace::members. */
+        size_t begin;
+        size_t end;
     };
 
     /** Buffers reused across solves (capacity only; no state leaks). */
@@ -150,11 +178,29 @@ class ParetoDpSolver
         std::vector<DpState> states;
         /** Offset of each stage in `states`. */
         std::vector<size_t> stageBegin;
+        /** Bucket offsets of the parent stage, then of the stage built. */
+        std::vector<size_t> parentBuckets;
+        std::vector<size_t> childBuckets;
+        /** Parent indices in (finish, cost, index) order; its inverse. */
+        std::vector<int> order;
+        std::vector<int> rankOf;
+        std::vector<int> orderScratch;
+        /** The stage's swept groups and their surviving parents. */
+        std::vector<Group> groups;
+        std::vector<int> members;
         /** Candidates of the bucket being built, then its survivors. */
         std::vector<Candidate> bucket;
+        std::vector<Candidate> bucketScratch;
+        /** Boundaries of the sorted runs being merged. */
+        std::vector<size_t> runs;
         /** Column of the switch-cost matrix into the bucket's config. */
         std::vector<TimeMs> switchInto;
+        /** Distinct switch costs into the bucket's config, ascending. */
+        std::vector<TimeMs> levels;
     };
+
+    /** The survivors of the group @p mask, swept on first use. */
+    Group group(uint64_t mask, const DpState *prev) const;
 
     mutable Workspace work_;
 };

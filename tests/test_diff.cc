@@ -771,5 +771,38 @@ TEST(GoldenBaseline, FreshRunDiffsCleanAgainstCommittedBaseline)
     EXPECT_EQ(diffExitCode(summary), 0);
 }
 
+/** The committed solver golden, exactly as tools/regen_golden.sh runs
+ *  it: PES plans and Oracle whole-trace solves (keep the two in sync). */
+FleetConfig
+solverGoldenConfig()
+{
+    FleetConfig config;
+    config.schedulers = {SchedulerKind::Pes, SchedulerKind::Oracle};
+    config.apps = {appByName("cnn")};
+    config.users = 2;
+    config.threads = 2;
+    config.baseSeed = 0xf1ee7;
+    return config;
+}
+
+TEST(GoldenBaseline, SolverSweepRegenerationIsByteIdentical)
+{
+    FleetRunner runner(solverGoldenConfig());
+    const FleetOutcome outcome = runner.run();
+    const FleetReport report =
+        makeFleetReport(runner.config(), outcome.metrics);
+
+    const std::string golden_json =
+        readFile(PES_SOURCE_DIR "/tests/data/golden/solver_sweep.json");
+    const std::string golden_csv =
+        readFile(PES_SOURCE_DIR "/tests/data/golden/solver_sweep.csv");
+    ASSERT_FALSE(golden_json.empty())
+        << "missing committed solver golden; run tools/regen_golden.sh";
+    EXPECT_EQ(JsonReporter::toString(report), golden_json)
+        << "solver-sweep output changed; if intentional, regenerate via "
+           "`cmake --build build --target regen-golden` and commit";
+    EXPECT_EQ(CsvReporter::toString(report), golden_csv);
+}
+
 } // namespace
 } // namespace pes

@@ -160,11 +160,12 @@ TEST(Ilp, FractionalRelaxationRequiresBranching)
 // ------------------------------------------------------------ ParetoDP
 
 /**
- * The solver as it was before the bucket-block stage loop, kept as the
- * reference the production loop must reproduce bit for bit: per stage it
- * builds every candidate, filters the whole stage once per last-config
- * bucket, sorts each bucket's full states, prunes, thins to
- * kMaxBucketStates and copies the stage. Switch-cost instances only.
+ * The flat stage loop, kept as the reference the production solver must
+ * reproduce bit for bit: per stage it extends every parent by every
+ * config, filters the whole stage once per last-config bucket, sorts
+ * each bucket by the total order (finish, cost, parent finish, parent
+ * cost, parent index), prunes, thins to kMaxBucketStates and copies the
+ * stage. An empty switchCost means zero switch costs.
  */
 ScheduleSolution
 referenceSolve(const ScheduleProblem &problem)
@@ -177,14 +178,23 @@ referenceSolve(const ScheduleProblem &problem)
         int lastConfig = 0;
         int parent = -1;
         int chosen = -1;
+        TimeMs parentFinish = 0.0;
+        double parentCost = 0.0;
         double cost() const { return tardiness * 1e12 + energy; }
     };
-    const auto prune = [](std::vector<State> &states) {
+    int thinned_buckets = 0;
+    const auto prune = [&thinned_buckets](std::vector<State> &states) {
         std::sort(states.begin(), states.end(),
                   [](const State &a, const State &b) {
                       if (a.finish != b.finish)
                           return a.finish < b.finish;
-                      return a.cost() < b.cost();
+                      if (a.cost() != b.cost())
+                          return a.cost() < b.cost();
+                      if (a.parentFinish != b.parentFinish)
+                          return a.parentFinish < b.parentFinish;
+                      if (a.parentCost != b.parentCost)
+                          return a.parentCost < b.parentCost;
+                      return a.parent < b.parent;
                   });
         std::vector<State> kept;
         double min_cost = std::numeric_limits<double>::infinity();
@@ -204,13 +214,13 @@ referenceSolve(const ScheduleProblem &problem)
                     std::round(step * static_cast<double>(i)))]);
             }
             kept = std::move(thinned);
+            ++thinned_buckets;
         }
         states = std::move(kept);
     };
 
     const int n = static_cast<int>(problem.events.size());
     const int c = problem.numConfigs();
-    EXPECT_FALSE(problem.switchCost.empty());
     std::vector<std::vector<State>> stages(static_cast<size_t>(n));
     State init;
     init.lastConfig = problem.initialConfig;
@@ -221,8 +231,11 @@ referenceSolve(const ScheduleProblem &problem)
         for (size_t s = 0; s < frontier.size(); ++s) {
             for (int j = 0; j < c; ++j) {
                 const TimeMs lat = ev.latency[static_cast<size_t>(j)] +
-                    problem.switchCost[static_cast<size_t>(
-                        frontier[s].lastConfig)][static_cast<size_t>(j)];
+                    (problem.switchCost.empty()
+                         ? 0.0
+                         : problem.switchCost[static_cast<size_t>(
+                               frontier[s].lastConfig)]
+                                             [static_cast<size_t>(j)]);
                 State st;
                 st.finish = frontier[s].finish + lat;
                 st.energy = frontier[s].energy +
@@ -232,6 +245,8 @@ referenceSolve(const ScheduleProblem &problem)
                 st.lastConfig = j;
                 st.parent = static_cast<int>(s);
                 st.chosen = j;
+                st.parentFinish = frontier[s].finish;
+                st.parentCost = frontier[s].cost();
                 next.push_back(st);
             }
         }
@@ -274,6 +289,7 @@ referenceSolve(const ScheduleProblem &problem)
     solution.totalEnergy = finals[best].energy;
     solution.totalTardiness = finals[best].tardiness;
     solution.feasible = finals[best].tardiness <= 1e-9;
+    solution.thinnedBuckets = thinned_buckets;
     return solution;
 }
 
@@ -560,9 +576,47 @@ TEST(ScheduleProblem, ToIlpRejectsSwitchCosts)
 // ------------------ production loop == reference loop (property) --------
 
 /**
+ * A random switch-cost matrix over @p configs configurations. Entries
+ * come from a few values, so several source configs share a switch cost
+ * into a target, and every column orders the sources differently: the
+ * groups the solver sweeps are neither clusters nor nested across
+ * targets.
+ */
+std::vector<std::vector<TimeMs>>
+randomSwitchMatrix(uint64_t seed, int configs)
+{
+    const TimeMs values[] = {0.0, 0.02, 0.1, 0.12, 0.5};
+    Rng rng(seed);
+    const size_t c = static_cast<size_t>(configs);
+    std::vector<std::vector<TimeMs>> matrix(c, std::vector<TimeMs>(c));
+    for (std::vector<TimeMs> &row : matrix) {
+        for (TimeMs &cost : row)
+            cost = values[rng.uniformInt(0, 4)];
+    }
+    return matrix;
+}
+
+/** Every field of @p got is bitwise equal to @p want's. */
+void
+expectSameSolution(const ScheduleSolution &got, const ScheduleSolution &want)
+{
+    EXPECT_EQ(got.configOf, want.configOf);
+    ASSERT_EQ(got.finishTime.size(), want.finishTime.size());
+    for (size_t i = 0; i < got.finishTime.size(); ++i) {
+        EXPECT_TRUE(bitwiseEqual(got.finishTime[i], want.finishTime[i]))
+            << "event " << i;
+    }
+    EXPECT_TRUE(bitwiseEqual(got.totalEnergy, want.totalEnergy));
+    EXPECT_TRUE(bitwiseEqual(got.totalTardiness, want.totalTardiness));
+    EXPECT_EQ(got.feasible, want.feasible);
+    EXPECT_EQ(got.thinnedBuckets, want.thinnedBuckets);
+}
+
+/**
  * Production-shaped instances, some wide enough that the cap fires: the
- * bucket-block stage loop must pick the same schedule as the reference,
- * bit for bit, including which of several exactly tied states survives.
+ * solver must pick the same schedule as the flat reference loop, bit for
+ * bit, including which of several exactly tied states survives — so the
+ * parents it skips are exactly ones the flat loop would have pruned.
  */
 class DpMatchesReference : public ::testing::TestWithParam<int>
 {
@@ -574,22 +628,60 @@ TEST_P(DpMatchesReference, BitwiseIdenticalSchedule)
         static_cast<uint64_t>(GetParam()) * 6151 + 3, 30 + GetParam() % 7,
         30.0 + 10.0 * GetParam());
     const ScheduleSolution got = ParetoDpSolver().solve(problem);
-    const ScheduleSolution want = referenceSolve(problem);
-
-    EXPECT_EQ(got.configOf, want.configOf);
-    ASSERT_EQ(got.finishTime.size(), want.finishTime.size());
-    for (size_t i = 0; i < got.finishTime.size(); ++i) {
-        EXPECT_TRUE(bitwiseEqual(got.finishTime[i], want.finishTime[i]))
-            << "event " << i;
-    }
-    EXPECT_TRUE(bitwiseEqual(got.totalEnergy, want.totalEnergy));
-    EXPECT_TRUE(bitwiseEqual(got.totalTardiness, want.totalTardiness));
-    EXPECT_EQ(got.feasible, want.feasible);
+    expectSameSolution(got, referenceSolve(problem));
     EXPECT_GT(got.thinnedBuckets, 0) << "instance no longer hits the cap";
+}
+
+TEST_P(DpMatchesReference, NonNestedSwitchMatrix)
+{
+    ScheduleProblem problem = productionShapedProblem(
+        static_cast<uint64_t>(GetParam()) * 3571 + 17, 20 + GetParam() % 5,
+        40.0 + 15.0 * GetParam());
+    problem.switchCost = randomSwitchMatrix(
+        static_cast<uint64_t>(GetParam()) + 101, problem.numConfigs());
+    expectSameSolution(ParetoDpSolver().solve(problem),
+                       referenceSolve(problem));
+}
+
+TEST_P(DpMatchesReference, TardyHeavyDeadlines)
+{
+    // Loose arrivals, then every deadline cut to 60 %: about half the
+    // instances cannot meet every deadline, and the frontiers mix tardy
+    // and on-time states, so the sweep must compare tardiness and energy
+    // separately (a folded-cost dominance check fails here).
+    ScheduleProblem problem = productionShapedProblem(
+        static_cast<uint64_t>(GetParam()) * 7919 + 29, 24 + GetParam() % 6,
+        130.0);
+    for (ScheduleEvent &ev : problem.events)
+        ev.deadline *= 0.6;
+    expectSameSolution(ParetoDpSolver().solve(problem),
+                       referenceSolve(problem));
+}
+
+TEST_P(DpMatchesReference, EmptySwitchCost)
+{
+    ScheduleProblem problem = productionShapedProblem(
+        static_cast<uint64_t>(GetParam()) * 4099 + 7, 24 + GetParam() % 6,
+        30.0 + 10.0 * GetParam());
+    problem.switchCost.clear();
+    problem.initialConfig = GetParam() % problem.numConfigs();
+    expectSameSolution(ParetoDpSolver().solve(problem),
+                       referenceSolve(problem));
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, DpMatchesReference,
                          ::testing::Range(0, 12));
+
+TEST(ParetoDp, RejectsMoreConfigsThanAGroupMaskHolds)
+{
+    ScheduleProblem problem;
+    ScheduleEvent ev;
+    ev.latency.assign(ParetoDpSolver::kMaxConfigs + 1, 1.0);
+    ev.energy.assign(ParetoDpSolver::kMaxConfigs + 1, 1.0);
+    ev.deadline = 10.0;
+    problem.events.push_back(ev);
+    EXPECT_DEATH((void)ParetoDpSolver().solve(problem), "at most 64");
+}
 
 TEST(ParetoDp, ThinnedBucketsCountsEveryCappedBucket)
 {
@@ -616,6 +708,34 @@ TEST(ParetoDp, ThinnedBucketsCountsEveryCappedBucket)
     EXPECT_EQ(ParetoDpSolver().solve(problem).thinnedBuckets, 0);
 }
 
+TEST(ParetoDp, EqualFinishRunsAreOrderedByCost)
+{
+    // Event 0 ends at 1 ms or one ulp later at half the energy; event 1
+    // adds 1000 ms, which rounds both finishes to 1001. The later parent
+    // is cheaper, so its candidate must come first and prune the other:
+    // each bucket keeps one state. The nine all-Pareto events after that
+    // (as in ThinnedBucketsCountsEveryCappedBucket) double each bucket
+    // per event up to exactly the cap, so one stale state would thin.
+    ScheduleProblem problem;
+    ScheduleEvent ev;
+    ev.deadline = std::numeric_limits<double>::infinity();
+    ev.latency = {1.0, std::nextafter(1.0, 2.0)};
+    ev.energy = {10.0, 5.0};
+    problem.events.push_back(ev);
+    ev.latency = {1000.0, 1000.0};
+    ev.energy = {1.0, 1.0};
+    problem.events.push_back(ev);
+    for (int i = 0; i < 9; ++i) {
+        const double weight = std::ldexp(1.0, i);
+        ev.latency = {1.0, 1.0 + weight};
+        ev.energy = {weight, 0.0};
+        problem.events.push_back(ev);
+    }
+    const ScheduleSolution sol = ParetoDpSolver().solve(problem);
+    EXPECT_EQ(sol.thinnedBuckets, 0);
+    expectSameSolution(sol, referenceSolve(problem));
+}
+
 TEST(ParetoDp, ReusedSolverMatchesFreshSolver)
 {
     // The stage buffers persist across solves; a wide solve followed by
@@ -631,6 +751,41 @@ TEST(ParetoDp, ReusedSolverMatchesFreshSolver)
         EXPECT_TRUE(bitwiseEqual(got.totalEnergy, want.totalEnergy));
         EXPECT_EQ(got.thinnedBuckets, want.thinnedBuckets);
     }
+}
+
+TEST(GlobalOptimizer, ReboundOptimizerPlansLikeAFreshOne)
+{
+    // PES keeps one optimizer per pooled driver and rebinds it to each
+    // session's models: after a rebind to another platform it must plan
+    // exactly like an optimizer built for that platform.
+    const AcmpPlatform exynos = AcmpPlatform::exynos5410();
+    const AcmpPlatform tegra = AcmpPlatform::tegraParker();
+    const PowerModel exynos_power(exynos);
+    const PowerModel tegra_power(tegra);
+    const DvfsLatencyModel exynos_model(exynos);
+    const DvfsLatencyModel tegra_model(tegra);
+    const VsyncClock vsync;
+    Rng rng(41);
+    std::vector<PlanEventSpec> specs(12);
+    TimeMs arrival = 0.0;
+    for (PlanEventSpec &spec : specs) {
+        spec.work = {rng.uniform(0.5, 6.0), rng.uniform(10.0, 120.0)};
+        spec.arrival = arrival;
+        arrival += rng.uniform(5.0, 80.0);
+    }
+
+    GlobalOptimizer rebound(exynos_model, exynos_power, vsync);
+    (void)rebound.planSchedule(0.0, exynos.minConfig(), specs);
+    rebound.rebind(tegra_model, tegra_power, vsync);
+    const GlobalOptimizer fresh(tegra_model, tegra_power, vsync);
+
+    EXPECT_EQ(rebound.buildProblem(0.0, tegra.minConfig(), specs).switchCost,
+              fresh.buildProblem(0.0, tegra.minConfig(), specs).switchCost);
+    const ScheduleSolution got =
+        rebound.planSchedule(0.0, tegra.minConfig(), specs);
+    const ScheduleSolution want =
+        fresh.planSchedule(0.0, tegra.minConfig(), specs);
+    expectSameSolution(got, want);
 }
 
 } // namespace
